@@ -10,10 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, ModelConfig
-from .errors import MnarError, NonConvergenceError, UsageError
-from .fitting import fit_tau_only
-from .inference import ConfidenceInterval, build_sandwich, estimate_sigma_tau
-from .ipw import monomial_basis, solve_gmm, solve_ipw
+from .errors import MgfOverflowError, MnarError, NonConvergenceError, UsageError
+from .fitting import fit_with_variance, point_estimate
+from .inference import ConfidenceInterval
 
 FAILURE_TOLERANCE = 0.05
 
@@ -26,10 +25,6 @@ class BootstrapResult:
     t_stats: np.ndarray | None
     seed: int
     failure_counts: dict
-
-
-def _resample_indices(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.integers(0, n, size=n)
 
 
 def _child_rngs(seed: int, B: int):
@@ -56,11 +51,35 @@ def t_interval_from_stats(
     )
 
 
-def _check_failures(B: int, n_ok: int, failures: dict):
-    if n_ok < (1.0 - FAILURE_TOLERANCE) * B:
+def _resample(ds: Dataset, B: int, seed: int, fit, statistic):
+    """The pairs-bootstrap loop shared by both intervals.  Runs ``fit`` on the
+    original sample, then ``statistic(resample, fit(ds))`` on B resamples;
+    a statistic fails by raising MnarError or LinAlgError, and failures are
+    counted by error code.  Returns (fit(ds), statistics of the resamples
+    that succeeded, failure counts)."""
+    if B < 99:
+        raise UsageError(f"B must be >= 99, got {B}")
+    original = fit(ds)
+    values = []
+    failures: dict = {}
+    for rng in _child_rngs(seed, B):
+        star = ds.take(rng.integers(0, ds.n, size=ds.n))
+        if star.n_observed in (0, star.n):
+            code = "DEGENERATE"
+        else:
+            try:
+                values.append(statistic(star, original))
+                continue
+            except MnarError as exc:
+                code = exc.code
+            except np.linalg.LinAlgError:
+                code = "SINGULAR"
+        failures[code] = failures.get(code, 0) + 1
+    if len(values) < (1.0 - FAILURE_TOLERANCE) * B:
         raise NonConvergenceError(
-            f"only {n_ok}/{B} bootstrap resamples succeeded; failures: {failures}"
+            f"only {len(values)}/{B} bootstrap resamples succeeded; failures: {failures}"
         )
+    return original, np.asarray(values), failures
 
 
 def bootstrap_t_ci(
@@ -73,68 +92,28 @@ def bootstrap_t_ci(
 ) -> BootstrapResult:
     """Studentized bootstrap: the normal quantiles of the Wald CI are replaced
     by empirical quantiles of t* = sqrt(n) (tau* - tau_hat) / sigma_tau*."""
-    if B < 99:
-        raise UsageError(f"B must be >= 99, got {B}")
-    tau, prop, outcome, mu_hat, dm = fit_tau_only(ds, cfg)
-    pieces = build_sandwich(ds, dm, mu_hat, outcome, prop, cfg)
-    var = estimate_sigma_tau(
-        pieces, tau.eta_hat, prop.gamma_hat, outcome.sigma2_hat, variant
-    )
-    sigma_tau = float(np.sqrt(var.sigma2_tau))
     n = ds.n
-    t_stats = []
-    failures: dict = {}
-    for rng in _child_rngs(seed, B):
-        idx = _resample_indices(rng, n)
-        star = ds.take(idx)
-        if star.n_observed in (0, star.n):
-            failures["DEGENERATE"] = failures.get("DEGENERATE", 0) + 1
-            continue
-        try:
-            tau_s, prop_s, out_s, mu_s, dm_s = fit_tau_only(star, cfg)
-            pieces_s = build_sandwich(star, dm_s, mu_s, out_s, prop_s, cfg)
-            var_s = estimate_sigma_tau(
-                pieces_s, tau_s.eta_hat, prop_s.gamma_hat, out_s.sigma2_hat, variant
-            )
-        except MnarError as exc:
-            failures[exc.code] = failures.get(exc.code, 0) + 1
-            continue
-        except np.linalg.LinAlgError:
-            failures["SINGULAR"] = failures.get("SINGULAR", 0) + 1
-            continue
-        if not prop_s.converged or var_s.sigma2_tau <= 0:
-            failures["NONCONVERGENCE"] = failures.get("NONCONVERGENCE", 0) + 1
-            continue
-        t_stats.append(
-            np.sqrt(n) * (tau_s.tau_hat - tau.tau_hat) / np.sqrt(var_s.sigma2_tau)
-        )
-    n_ok = len(t_stats)
-    _check_failures(B, n_ok, failures)
-    t_stats = np.asarray(t_stats)
-    ci = t_interval_from_stats(tau.tau_hat, sigma_tau, n, t_stats, level)
+
+    def fit(sample):
+        tau, prop, var = fit_with_variance(sample, cfg, variant)
+        return tau.tau_hat, var.sigma2_tau, prop.converged
+
+    def t_star(star, original):
+        tau_s, sigma2_s, converged = fit(star)
+        if not converged or sigma2_s <= 0:
+            raise NonConvergenceError("resample fit did not converge or sigma2* <= 0")
+        return np.sqrt(n) * (tau_s - original[0]) / np.sqrt(sigma2_s)
+
+    (tau_hat, sigma2_tau, _), t_stats, failures = _resample(ds, B, seed, fit, t_star)
+    ci = t_interval_from_stats(tau_hat, float(np.sqrt(sigma2_tau)), n, t_stats, level)
     return BootstrapResult(
         ci=ci,
         n_resamples_requested=B,
-        n_successful=n_ok,
+        n_successful=len(t_stats),
         t_stats=t_stats,
         seed=int(seed),
         failure_counts=failures,
     )
-
-
-def _point_estimator(tag: str):
-    def run(ds: Dataset, cfg: ModelConfig) -> float:
-        if tag == "proposed":
-            return fit_tau_only(ds, cfg)[0].tau_hat
-        if tag == "normal_plugin":
-            return fit_tau_only(ds, cfg, normal_plugin=True)[0].tau_hat
-        if tag == "ipw":
-            return solve_ipw(ds, cfg, monomial_basis(ds.d, 1)).tau_ipw
-        if tag.startswith("gmm"):
-            return solve_gmm(ds, cfg, int(tag[3:])).tau_ipw
-        raise UsageError(f"unknown estimator tag {tag!r}")
-
-    return run
 
 
 def bootstrap_percentile_ci(
@@ -145,35 +124,19 @@ def bootstrap_percentile_ci(
     B: int = 1000,
     seed: int = 0,
 ) -> BootstrapResult:
-    """Percentile CI for any of the point estimators (proposed,
-    normal_plugin, ipw, gmm<k>)."""
-    if B < 99:
-        raise UsageError(f"B must be >= 99, got {B}")
-    estimate = _point_estimator(estimator_tag)
-    estimate(ds, cfg)  # the full pipeline must run on the original data
-    taus = []
-    failures: dict = {}
-    for rng in _child_rngs(seed, B):
-        idx = _resample_indices(rng, ds.n)
-        star = ds.take(idx)
-        if star.n_observed in (0, star.n):
-            failures["DEGENERATE"] = failures.get("DEGENERATE", 0) + 1
-            continue
-        try:
-            t = estimate(star, cfg)
-        except MnarError as exc:
-            failures[exc.code] = failures.get(exc.code, 0) + 1
-            continue
-        except np.linalg.LinAlgError:
-            failures["SINGULAR"] = failures.get("SINGULAR", 0) + 1
-            continue
+    """Percentile CI for any of the point estimators of ``point_estimate``
+    (proposed, normal_plugin, ipw, gmm<k>)."""
+
+    def fit(sample):
+        return point_estimate(estimator_tag, sample, cfg)[0]
+
+    def tau_star(star, _):
+        t = fit(star)
         if not np.isfinite(t):
-            failures["OVERFLOW"] = failures.get("OVERFLOW", 0) + 1
-            continue
-        taus.append(t)
-    n_ok = len(taus)
-    _check_failures(B, n_ok, failures)
-    taus = np.asarray(taus)
+            raise MgfOverflowError("non-finite resample estimate")
+        return t
+
+    _, taus, failures = _resample(ds, B, seed, fit, tau_star)
     a = 1.0 - level
     ci = ConfidenceInterval(
         lower=float(np.quantile(taus, a / 2.0, method="linear")),
@@ -184,7 +147,7 @@ def bootstrap_percentile_ci(
     return BootstrapResult(
         ci=ci,
         n_resamples_requested=B,
-        n_successful=n_ok,
+        n_successful=len(taus),
         t_stats=None,
         seed=int(seed),
         failure_counts=failures,

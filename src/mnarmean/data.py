@@ -194,9 +194,12 @@ def build_design(ds: Dataset, cfg: ModelConfig) -> DesignMatrices:
                 f"non-finite evaluation of basis term {k} {t.exponents}"
             )
         cols.append(col)
-    M = np.column_stack(cols)
-    X1 = ds.x[:, [c - 1 for c in cfg.x1_columns]]
-    return DesignMatrices(M=M, X1=X1)
+    return DesignMatrices(M=np.column_stack(cols), X1=select_x1(ds.x, cfg.x1_columns))
+
+
+def select_x1(x: np.ndarray, x1_columns) -> np.ndarray:
+    """The propensity covariates: the 1-based ``x1_columns`` of ``x``."""
+    return x[:, [c - 1 for c in x1_columns]]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """End-to-end two-step pipeline: design -> least squares -> conditional
-maximum likelihood -> tau_hat -> sandwich variance -> Wald CI."""
+maximum likelihood -> tau_hat -> sandwich variance -> Wald CI, and the
+registry of point estimators that studies and the bootstrap dispatch on."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from .data import (
     build_design,
     check_identifiability,
 )
-from .errors import IdentifiabilityError
+from .errors import IdentifiabilityError, UsageError
 from .inference import (
     ConfidenceInterval,
     SandwichPieces,
@@ -24,6 +25,7 @@ from .inference import (
     estimate_sigma_tau,
     wald_ci,
 )
+from .ipw import monomial_basis, solve_gmm, solve_ipw
 from .mean_response import TauEstimate, estimate_tau, estimate_tau_normal_plugin
 from .outcome import OutcomeFit, fit_least_squares, predict_mu
 from .propensity import PropensityFit, fit_propensity
@@ -50,20 +52,15 @@ def fit_mean_response(
     require_identifiable: bool = True,
 ) -> FitResult:
     dm = build_design(ds, cfg)
-    ident = check_identifiability(dm)
+    outcome = fit_least_squares(ds, dm)
+    ident = check_identifiability(dm, xi_hat=outcome.xi_hat)
     if require_identifiable and not ident.identifiable:
         raise IdentifiabilityError(
             "mean basis lies in the span of {1, x1}: theta is not identifiable"
         )
-    outcome = fit_least_squares(ds, dm)
-    ident = check_identifiability(dm, xi_hat=outcome.xi_hat)
-    mu_hat = predict_mu(outcome, dm)
-    propensity = fit_propensity(ds, mu_hat, cfg)
-    tau = estimate_tau(ds, outcome, propensity, mu_hat)
-    pieces = build_sandwich(ds, dm, mu_hat, outcome, propensity, cfg)
-    variance = estimate_sigma_tau(
-        pieces, tau.eta_hat, propensity.gamma_hat, outcome.sigma2_hat, variant
-    )
+    fit = _selection_step(ds, cfg, dm, outcome)
+    tau, propensity, _, mu_hat, _ = fit
+    pieces, variance = _sandwich_variance(ds, cfg, fit, variant)
     ci = wald_ci(tau.tau_hat, variance.sigma2_tau, ds.n, level)
     return FitResult(
         outcome=outcome,
@@ -82,9 +79,56 @@ def fit_tau_only(ds: Dataset, cfg: ModelConfig, normal_plugin: bool = False):
     """Lean path for simulation replications that only need point estimates:
     returns (tau_estimate, propensity_fit, outcome_fit, mu_hat, dm)."""
     dm = build_design(ds, cfg)
-    outcome = fit_least_squares(ds, dm)
+    return _selection_step(ds, cfg, dm, fit_least_squares(ds, dm), normal_plugin)
+
+
+def _selection_step(ds, cfg, dm, outcome, normal_plugin=False):
+    """Step 2 and tau_hat on top of the outcome fit; fit_tau_only's tuple."""
     mu_hat = predict_mu(outcome, dm)
     propensity = fit_propensity(ds, mu_hat, cfg)
     est = estimate_tau_normal_plugin if normal_plugin else estimate_tau
-    tau = est(ds, outcome, propensity, mu_hat)
-    return tau, propensity, outcome, mu_hat, dm
+    return est(ds, outcome, propensity, mu_hat), propensity, outcome, mu_hat, dm
+
+
+def _sandwich_variance(ds, cfg, fit, variant):
+    """(sandwich pieces, variance estimates) for a fit_tau_only tuple."""
+    tau, propensity, outcome, mu_hat, dm = fit
+    pieces = build_sandwich(ds, dm, mu_hat, outcome, propensity, cfg)
+    variance = estimate_sigma_tau(
+        pieces, tau.eta_hat, propensity.gamma_hat, outcome.sigma2_hat, variant
+    )
+    return pieces, variance
+
+
+def fit_with_variance(ds: Dataset, cfg: ModelConfig, variant: str = "printed"):
+    """fit_tau_only, then build_sandwich and estimate_sigma_tau: returns
+    (tau_estimate, propensity_fit, variance_estimates)."""
+    fit = fit_tau_only(ds, cfg)
+    return fit[0], fit[1], _sandwich_variance(ds, cfg, fit, variant)[1]
+
+
+def point_estimate(tag: str, ds: Dataset, cfg: ModelConfig):
+    """The estimator registry: (tau_hat, gamma_hat, converged) for ``proposed``,
+    ``normal_plugin``, ``ipw`` and ``gmm<k>``; raises MnarError on failure."""
+    if tag == "proposed":
+        tau, prop, *_ = fit_tau_only(ds, cfg)
+    elif tag == "normal_plugin":
+        tau, prop, *_ = fit_tau_only(ds, cfg, normal_plugin=True)
+    else:
+        if tag == "ipw":
+            fit = solve_ipw(ds, cfg, _ipw_basis(ds.d, cfg.p))
+        elif tag.startswith("gmm") and tag[3:].isdigit():
+            fit = solve_gmm(ds, cfg, int(tag[3:]))
+        else:
+            raise UsageError(f"unknown estimator tag {tag!r}")
+        return fit.tau_ipw, fit.gamma_hat, fit.converged
+    return tau.tau_hat, prop.gamma_hat, prop.converged
+
+
+def _ipw_basis(d: int, p: int):
+    """The just-identified IPW basis: the first p monomials of the lowest
+    total degree that has at least p of them."""
+    degree = 0
+    while len(monomial_basis(d, degree)) < p:
+        degree += 1
+    return monomial_basis(d, degree)[:p]

@@ -16,14 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 from scipy.stats import norm
 
 from .data import Dataset, DesignMatrices, ModelConfig
-from .errors import SingularDesignError, UsageError
+from .errors import MgfOverflowError, SingularDesignError, UsageError
 from .mean_response import MGF_RANGE
-from .errors import MgfOverflowError
 from .outcome import OutcomeFit
-from .propensity import PropensityFit, _z_matrix, propensity_probabilities
+from .propensity import PropensityFit, _z_matrix
 
 COND_LIMIT = 1e12
 
@@ -61,12 +61,6 @@ class VarianceEstimates:
     clipped: bool
 
 
-def _full_residuals(ds: Dataset, outcome_fit: OutcomeFit) -> np.ndarray:
-    eps = np.zeros(ds.n)
-    eps[ds.r == 1] = outcome_fit.residuals
-    return eps
-
-
 def _exp_gamma_eps(eps: np.ndarray, gamma: float) -> np.ndarray:
     s = gamma * eps
     if np.abs(s).max(initial=0.0) > MGF_RANGE:
@@ -76,6 +70,26 @@ def _exp_gamma_eps(eps: np.ndarray, gamma: float) -> np.ndarray:
             f"stabilized range {MGF_RANGE:g}"
         )
     return np.exp(s)
+
+
+def _propensity_rows(ds, mu_hat, propensity_fit, cfg):
+    """Per-row z_i = (1, x1_i, mu_hat_i) and fitted pi_i."""
+    z = _z_matrix(ds, mu_hat, cfg)
+    return z, expit(-(z @ propensity_fit.theta_hat))
+
+
+def _tilt_rows(ds, outcome_fit, gamma_hat):
+    """Per-row r_i, eps_i (0 where y is missing) and r_i e^{gamma eps_i}."""
+    r = ds.r.astype(float)
+    eps = np.zeros(ds.n)
+    eps[ds.r == 1] = outcome_fit.residuals
+    return r, eps, r * _exp_gamma_eps(eps, gamma_hat)
+
+
+def _A_matrices(M, r, z, pi):
+    n = M.shape[0]
+    zw = z * (pi * (1.0 - pi))[:, None]
+    return (M * r[:, None]).T @ M / n, zw.T @ z / n, zw.T @ M / n, M.mean(axis=0)
 
 
 def estimate_A_matrices(
@@ -89,17 +103,8 @@ def estimate_A_matrices(
     A3 = n^-1 sum w_i z_i M_i,  A4 = n^-1 sum M_i',  w_i = pi_i (1 - pi_i);
     grad_xi mu is the basis row M_i (mu is linear in xi) and
     grad_theta phi = z_i = (1, x1_i, mu_hat_i)."""
-    n = ds.n
-    r = ds.r.astype(float)
-    pi = propensity_probabilities(ds, mu_hat, propensity_fit.theta_hat, cfg)
-    w = pi * (1.0 - pi)
-    z = _z_matrix(ds, mu_hat, cfg)
-    M = dm.M
-    A1 = (M * r[:, None]).T @ M / n
-    A2 = (z * w[:, None]).T @ z / n
-    A3 = (z * w[:, None]).T @ M / n
-    A4 = M.mean(axis=0)
-    return A1, A2, A3, A4
+    z, pi = _propensity_rows(ds, mu_hat, propensity_fit, cfg)
+    return _A_matrices(dm.M, ds.r.astype(float), z, pi)
 
 
 def _checked_inverse(A: np.ndarray, name: str) -> np.ndarray:
@@ -108,18 +113,10 @@ def _checked_inverse(A: np.ndarray, name: str) -> np.ndarray:
     return np.linalg.inv(A)
 
 
-def estimate_Sigma(
-    A1: np.ndarray,
-    A2: np.ndarray,
-    A3: np.ndarray,
-    sigma2_hat: float,
-    gamma_hat: float,
-) -> np.ndarray:
+def _joint_covariance(A1inv, A2inv, A3, sigma2_hat, gamma_hat) -> np.ndarray:
     """Joint asymptotic covariance of sqrt(n) (xi_hat, theta_hat)."""
-    A1inv = _checked_inverse(A1, "A1")
-    A2inv = _checked_inverse(A2, "A2")
-    q = A1.shape[0]
-    p = A2.shape[0]
+    q = A1inv.shape[0]
+    p = A2inv.shape[0]
     top_left = sigma2_hat * A1inv
     top_right = -gamma_hat * sigma2_hat * A1inv @ A3.T @ A2inv
     bottom_right = A2inv + gamma_hat**2 * sigma2_hat * (
@@ -133,21 +130,18 @@ def estimate_Sigma(
     return (Sigma + Sigma.T) / 2.0
 
 
-def estimate_B_C(
-    ds: Dataset, outcome_fit: OutcomeFit, gamma_hat: float, dm: DesignMatrices
-):
-    """B_k = n^-1 sum r eps^{k-1} e^{g eps} (k=1,2,3) and
-    C_k = n^-1 sum r eps^{k-1} e^{g eps} M_i' (k=1,2)."""
-    n = ds.n
-    r = ds.r.astype(float)
-    eps = _full_residuals(ds, outcome_fit)
-    e = r * _exp_gamma_eps(eps, gamma_hat)
-    B1 = float(e.mean())
-    B2 = float((eps * e).mean())
-    B3 = float((eps**2 * e).mean())
-    C1 = dm.M.T @ e / n
-    C2 = dm.M.T @ (eps * e) / n
-    return (B1, B2, B3), C1, C2
+def _score_rows_and_V(M, mu_hat, r, z, pi, eps, e, B):
+    B1, B2, _ = B
+    cols = [
+        (r - r.mean())[:, None],
+        M * (r * eps)[:, None],
+        z * (r - pi)[:, None],
+        (mu_hat - mu_hat.mean())[:, None],
+        (e - B1)[:, None],
+        (eps * e - B2)[:, None],
+    ]
+    Shat = np.hstack(cols)
+    return Shat, Shat.T @ Shat / M.shape[0]
 
 
 def build_score_rows_and_V(
@@ -160,25 +154,9 @@ def build_score_rows_and_V(
     B: tuple[float, float, float],
 ):
     """Per-row estimating-function residuals S_hat_i and V_hat = n^-1 S'S."""
-    n = ds.n
-    r = ds.r.astype(float)
-    eps = _full_residuals(ds, outcome_fit)
-    eta = r.mean()
-    pi = propensity_probabilities(ds, mu_hat, propensity_fit.theta_hat, cfg)
-    z = _z_matrix(ds, mu_hat, cfg)
-    e = r * _exp_gamma_eps(eps, propensity_fit.gamma_hat)
-    B1, B2, _ = B
-    cols = [
-        (r - eta)[:, None],
-        dm.M * (r * eps)[:, None],
-        z * (r - pi)[:, None],
-        (mu_hat - mu_hat.mean())[:, None],
-        (e - B1)[:, None],
-        (eps * e - B2)[:, None],
-    ]
-    Shat = np.hstack(cols)
-    V = Shat.T @ Shat / n
-    return Shat, V
+    r, eps, e = _tilt_rows(ds, outcome_fit, propensity_fit.gamma_hat)
+    z, pi = _propensity_rows(ds, mu_hat, propensity_fit, cfg)
+    return _score_rows_and_V(dm.M, mu_hat, r, z, pi, eps, e, B)
 
 
 def build_sandwich(
@@ -189,11 +167,17 @@ def build_sandwich(
     propensity_fit: PropensityFit,
     cfg: ModelConfig,
 ) -> SandwichPieces:
-    A1, A2, A3, A4 = estimate_A_matrices(ds, dm, mu_hat, propensity_fit, cfg)
-    B, C1, C2 = estimate_B_C(ds, outcome_fit, propensity_fit.gamma_hat, dm)
-    Shat, V = build_score_rows_and_V(
-        ds, dm, mu_hat, outcome_fit, propensity_fit, cfg, B
-    )
+    """The A-matrices, B_k = n^-1 sum r eps^{k-1} e^{g eps} (k=1,2,3),
+    C_k = n^-1 sum r eps^{k-1} e^{g eps} M_i' (k=1,2), and the score rows
+    with V_hat; the per-row pi, z, eps and e^{g eps} are formed once."""
+    M = dm.M
+    r, eps, e = _tilt_rows(ds, outcome_fit, propensity_fit.gamma_hat)
+    z, pi = _propensity_rows(ds, mu_hat, propensity_fit, cfg)
+    A1, A2, A3, A4 = _A_matrices(M, r, z, pi)
+    B = (float(e.mean()), float((eps * e).mean()), float((eps**2 * e).mean()))
+    C1 = M.T @ e / ds.n
+    C2 = M.T @ (eps * e) / ds.n
+    Shat, V = _score_rows_and_V(M, mu_hat, r, z, pi, eps, e, B)
     return SandwichPieces(A1=A1, A2=A2, A3=A3, A4=A4, B=B, C1=C1, C2=C2, V=V, Shat=Shat)
 
 
@@ -247,7 +231,7 @@ def estimate_sigma_tau(
     clipped = s2 < 0.0
     if clipped:
         s2 = 0.0
-    Sigma = estimate_Sigma(pieces.A1, pieces.A2, pieces.A3, sigma2_hat, gamma_hat)
+    Sigma = _joint_covariance(A1inv, A2inv, pieces.A3, sigma2_hat, gamma_hat)
     return VarianceEstimates(
         Sigma=Sigma, sigma2_tau=s2, D=D, H1=H1, H2=H2, clipped=clipped
     )

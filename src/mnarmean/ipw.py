@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import BasisTerm, Dataset, ModelConfig
+from .data import BasisTerm, Dataset, ModelConfig, select_x1
 from .errors import NonConvergenceError, UsageError
 
 MOMENT_TOL = 1e-8
@@ -44,19 +44,8 @@ class IpwFit:
         return float(self.theta_hat[-1])
 
 
-def _x1(ds: Dataset, cfg: ModelConfig) -> np.ndarray:
-    return ds.x[:, [c - 1 for c in cfg.x1_columns]]
-
-
 def _g_matrix(ds: Dataset, basis_g: list[BasisTerm]) -> np.ndarray:
     return np.column_stack([t.evaluate(ds.x) for t in basis_g])
-
-
-def _vyz(ds: Dataset, cfg: ModelConfig) -> np.ndarray:
-    """Rows (1, x1_i, y_i) with y filled by 0 on missing rows (those rows are
-    annihilated by r in every place this matrix is used)."""
-    y0 = np.where(ds.r == 1, np.nan_to_num(ds.y), 0.0)
-    return np.column_stack([np.ones(ds.n), _x1(ds, cfg), y0])
 
 
 class _MomentWorkspace:
@@ -72,7 +61,7 @@ class _MomentWorkspace:
         self.G_obs = G[obs]
         self.miss_sum = G[~obs].sum(axis=0)
         self.V_obs = np.column_stack(
-            [np.ones(int(obs.sum())), _x1(ds, cfg)[obs], ds.y[obs]]
+            [np.ones(int(obs.sum())), select_x1(ds.x, cfg.x1_columns)[obs], ds.y[obs]]
         )
 
     def _weights(self, theta: np.ndarray) -> np.ndarray:
@@ -118,7 +107,7 @@ def profile_gamma(
         raise UsageError(f"bad grid ({lo}, {hi}, {step}): need lo < hi, step > 0")
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     obs = ds.r == 1
-    a = alpha0 + _x1(ds, cfg)[obs] @ beta
+    a = alpha0 + select_x1(ds.x, cfg.x1_columns)[obs] @ beta
     y = ds.y[obs]
     n = ds.n
 
@@ -163,17 +152,15 @@ def profile_gamma(
 
 
 def _horvitz_thompson(
-    ds: Dataset, theta: np.ndarray, cfg: ModelConfig, hajek: bool
+    ws: _MomentWorkspace, theta: np.ndarray, hajek: bool
 ) -> tuple[float, float]:
-    V = _vyz(ds, cfg)
-    with np.errstate(over="ignore"):
-        inv_pi = 1.0 + np.exp(V @ theta)  # 1 / pi(x, y; theta)
-    w = ds.r * inv_pi
-    if hajek:
-        tau = float(np.sum(w * np.nan_to_num(ds.y)) / np.sum(w))
-    else:
-        tau = float(np.mean(w * np.nan_to_num(ds.y)))
-    wmax = float(inv_pi[ds.r == 1].max()) if ds.n_observed else np.nan
+    """(tau, largest weight) from the observed rows' weights 1 / pi(x, y; theta);
+    missing rows carry weight 0.  Overflowing weights give a non-finite tau."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv_pi = 1.0 + ws._weights(theta)
+        wy = inv_pi * ws.V_obs[:, -1]
+        tau = float(np.sum(wy) / (np.sum(inv_pi) if hajek else ws.n))
+    wmax = float(inv_pi.max()) if inv_pi.size else np.nan
     return tau, wmax
 
 
@@ -206,13 +193,13 @@ def _newton_root(ws: _MomentWorkspace, theta0, max_iter=100):
             ok = False
             break
         step = 1.0
-        improved = False
         for _ in range(30):
             cand = theta + step * delta
             mc = moments(cand)
-            if np.isfinite(mc).all() and np.linalg.norm(mc) < np.linalg.norm(m):
+            with np.errstate(over="ignore"):  # the norm of huge finite moments is inf
+                improved = np.isfinite(mc).all() and np.linalg.norm(mc) < np.linalg.norm(m)
+            if improved:
                 theta, m = cand, mc
-                improved = True
                 break
             step *= 0.5
         if not improved:
@@ -256,7 +243,7 @@ def solve_ipw(
     if not any_ok:
         raise NonConvergenceError("moment Jacobian singular at every start")
     theta, norm, converged = min(candidates, key=lambda c: c[1])
-    tau, wmax = _horvitz_thompson(ds, theta, cfg, hajek)
+    tau, wmax = _horvitz_thompson(ws, theta, hajek)
     return IpwFit(
         theta_hat=theta,
         converged=bool(converged),
@@ -368,7 +355,7 @@ def solve_gmm(
     except np.linalg.LinAlgError:
         W2 = W1
     theta2, obj2, conv2 = multistart(W2)
-    tau, wmax = _horvitz_thompson(ds, theta2, cfg, hajek)
+    tau, wmax = _horvitz_thompson(ws, theta2, hajek)
     m = ws.moments(theta2)
     return IpwFit(
         theta_hat=theta2,

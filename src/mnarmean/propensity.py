@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .data import Dataset, ModelConfig
+from .data import Dataset, ModelConfig, select_x1
 from .errors import DegenerateDataError, SeparationError, SingularDesignError
 
 SCORE_TOL = 1e-8
@@ -41,8 +41,7 @@ class PropensityFit:
 
 
 def _z_matrix(ds: Dataset, mu_hat: np.ndarray, cfg: ModelConfig) -> np.ndarray:
-    x1 = ds.x[:, [c - 1 for c in cfg.x1_columns]]
-    return np.column_stack([np.ones(ds.n), x1, mu_hat])
+    return np.column_stack([np.ones(ds.n), select_x1(ds.x, cfg.x1_columns), mu_hat])
 
 
 def _linear_predictor(z: np.ndarray, theta: np.ndarray) -> np.ndarray:

@@ -15,13 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .data import BasisTerm, Dataset, ModelConfig
+from .data import BasisTerm, Dataset, ModelConfig, select_x1
 from .errors import MnarError, UsageError
-from .fitting import fit_tau_only
-from .ipw import monomial_basis, solve_gmm, solve_ipw
-from .inference import estimate_sigma_tau, wald_ci
-from .mean_response import estimate_tau
-from .outcome import predict_mu
+from .fitting import fit_with_variance, point_estimate
+from .inference import wald_ci
 
 NCR_TAU_RANGE = (-10.0, 10.0)
 NCR_GAMMA_RANGE = (-3.0, 3.0)
@@ -167,7 +164,7 @@ class Scenario:
 
     def pi_truth(self, x: np.ndarray) -> np.ndarray:
         """pr(R=1 | x) under the induced logistic model."""
-        x1 = x[:, [c - 1 for c in self.x1_columns]]
+        x1 = select_x1(x, self.x1_columns)
         u = self.alpha_induced + x1 @ np.asarray(self.beta) + self.gamma * self.mu_truth(x)
         return expit(-u)
 
@@ -321,24 +318,11 @@ def _is_ncr(tau_hat: float, gamma_hat: float, converged: bool) -> bool:
 
 
 def run_method(method: str, ds: Dataset, sc: Scenario, tau0: float):
-    """Returns (tau_hat, gamma_hat, converged); raises MnarError on failure."""
-    cfg = sc.model_config()
+    """Returns (tau_hat, gamma_hat, converged); raises MnarError on failure.
+    ``oracle`` returns the truth; every other tag goes to ``point_estimate``."""
     if method == "oracle":
         return tau0, sc.gamma, True
-    if method == "proposed":
-        tau, prop, _, _, _ = fit_tau_only(ds, cfg)
-        return tau.tau_hat, prop.gamma_hat, prop.converged
-    if method == "normal_plugin":
-        tau, prop, _, _, _ = fit_tau_only(ds, cfg, normal_plugin=True)
-        return tau.tau_hat, prop.gamma_hat, prop.converged
-    if method == "ipw":
-        fit = solve_ipw(ds, cfg, monomial_basis(ds.d, 1))
-        return fit.tau_ipw, fit.gamma_hat, fit.converged
-    if method.startswith("gmm"):
-        k = int(method[3:])
-        fit = solve_gmm(ds, cfg, k)
-        return fit.tau_ipw, fit.gamma_hat, fit.converged
-    raise UsageError(f"unknown method tag {method!r}")
+    return point_estimate(method, ds, sc.model_config())
 
 
 def _study_rep(args):
@@ -347,14 +331,9 @@ def _study_rep(args):
     out = {}
     for method in methods:
         try:
-            tau_hat, gamma_hat, converged = run_method(method, ds, sc, tau0)
-        except MnarError:
+            out[method] = run_method(method, ds, sc, tau0)
+        except (MnarError, np.linalg.LinAlgError):
             out[method] = None
-            continue
-        except np.linalg.LinAlgError:
-            out[method] = None
-            continue
-        out[method] = (tau_hat, gamma_hat, converged)
     return out
 
 
@@ -422,13 +401,7 @@ def _coverage_rep(args):
     cfg = sc.model_config()
     try:
         if ci_method == "wald":
-            tau, prop, outcome, mu_hat, dm = fit_tau_only(ds, cfg)
-            from .inference import build_sandwich
-
-            pieces = build_sandwich(ds, dm, mu_hat, outcome, prop, cfg)
-            var = estimate_sigma_tau(
-                pieces, tau.eta_hat, prop.gamma_hat, outcome.sigma2_hat, variant
-            )
+            tau, _, var = fit_with_variance(ds, cfg, variant)
             ci = wald_ci(tau.tau_hat, var.sigma2_tau, ds.n, level)
         elif ci_method == "bootstrap_t":
             boot_seed = int(child_seed.generate_state(1)[0])
@@ -437,9 +410,7 @@ def _coverage_rep(args):
             ).ci
         else:
             raise UsageError(f"unknown CI method {ci_method!r}")
-    except MnarError:
-        return None
-    except np.linalg.LinAlgError:
+    except (MnarError, np.linalg.LinAlgError):
         return None
     return ci.lower, ci.upper
 

@@ -9,7 +9,7 @@ from mnarmean.bootstrap import (
 )
 from mnarmean.errors import NonConvergenceError, UsageError
 from mnarmean.inference import wald_ci
-from mnarmean.simulate import example1, generate_dataset
+from mnarmean.simulate import example1, example2, generate_dataset
 
 
 @pytest.fixture(scope="module")
@@ -66,14 +66,15 @@ def test_b_floor(boot_data):
         bootstrap_percentile_ci("proposed", ds, cfg, B=50)
 
 
-def test_failure_tolerance_enforced(monkeypatch):
+@pytest.mark.parametrize("interval", ["t", "percentile"])
+def test_failure_tolerance_enforced(monkeypatch, interval):
     """If more than 5% of resamples fail, the whole CI must error out rather
     than silently report a quantile from the survivors."""
-    import mnarmean.bootstrap as bt
+    import mnarmean.fitting as ft
 
     sc = example1(alpha0=-1.7, delta=0.0)
     ds = generate_dataset(sc, 500, seed=124)
-    real_fit = bt.fit_tau_only
+    real_fit = ft.fit_tau_only
     calls = {"k": 0}
 
     def flaky_fit(dataset, cfg):
@@ -83,6 +84,32 @@ def test_failure_tolerance_enforced(monkeypatch):
             raise NonConvergenceError("injected resample failure")
         return real_fit(dataset, cfg)
 
-    monkeypatch.setattr(bt, "fit_tau_only", flaky_fit)
+    monkeypatch.setattr(ft, "fit_tau_only", flaky_fit)
     with pytest.raises(NonConvergenceError, match="resamples succeeded"):
-        bootstrap_t_ci(ds, sc.model_config(), B=100, seed=12)
+        if interval == "t":
+            bootstrap_t_ci(ds, sc.model_config(), B=100, seed=12)
+        else:
+            bootstrap_percentile_ci("proposed", ds, sc.model_config(), B=100, seed=12)
+
+
+def test_unknown_estimator_tag_is_usage_error(boot_data):
+    """simulate.run_method and the percentile bootstrap share one registry."""
+    from mnarmean.simulate import run_method
+
+    ds, cfg = boot_data
+    sc = example1(alpha0=-1.7, delta=0.0)
+    for tag in ("bogus", "gmm", "gmmx"):
+        with pytest.raises(UsageError, match="unknown estimator tag"):
+            run_method(tag, ds, sc, 2.0)
+        with pytest.raises(UsageError, match="unknown estimator tag"):
+            bootstrap_percentile_ci(tag, ds, cfg, B=99, seed=1)
+
+
+def test_percentile_ipw_with_one_covariate():
+    """Example 2 has a single covariate; the just-identified IPW basis is
+    then {1, x, x^2}."""
+    sc = example2()
+    ds = generate_dataset(sc, 2000, seed=7)
+    res = bootstrap_percentile_ci("ipw", ds, sc.model_config(), B=99, seed=3)
+    assert np.isfinite(res.ci.lower) and np.isfinite(res.ci.upper)
+    assert res.ci.lower <= res.ci.upper

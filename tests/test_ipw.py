@@ -98,12 +98,13 @@ def test_horvitz_thompson_all_observed_is_plain_mean():
     x = rng.normal(size=(n, 2))
     y = rng.normal(size=n)
     ds = Dataset(r=np.ones(n, dtype=np.int64), y=y, x=x)
-    from mnarmean.ipw import _horvitz_thompson
+    from mnarmean.ipw import _horvitz_thompson, _MomentWorkspace
 
+    ws = _MomentWorkspace(ds, [BasisTerm((0, 0))], CFG2)
     # pi = 1 exactly in the limit theta -> (-inf, 0, 0); use a deep intercept
-    tau, wmax = _horvitz_thompson(ds, np.array([-500.0, 0.0, 0.0]), CFG2, hajek=False)
+    tau, wmax = _horvitz_thompson(ws, np.array([-500.0, 0.0, 0.0]), hajek=False)
     assert tau == pytest.approx(y.mean(), rel=1e-12)
-    tau_h, _ = _horvitz_thompson(ds, np.array([-500.0, 0.0, 0.0]), CFG2, hajek=True)
+    tau_h, _ = _horvitz_thompson(ws, np.array([-500.0, 0.0, 0.0]), hajek=True)
     assert tau_h == pytest.approx(y.mean(), rel=1e-12)
 
 
@@ -138,3 +139,19 @@ def test_gmm_needs_enough_basis_functions():
     ds = _mar_big(n=500)
     with pytest.raises(UsageError):
         solve_gmm(ds, CFG2, degree_k=0)
+
+
+@pytest.mark.parametrize("method", ["ipw", "gmm3"])
+def test_no_overflow_warning_escapes(method):
+    """Huge but finite moments overflow their norm and the weights overflow
+    in the Horvitz-Thompson sum; neither may leak a RuntimeWarning."""
+    import warnings
+
+    from mnarmean.simulate import example1, generate_dataset, run_method
+
+    sc = example1()
+    for seed in (3, 4, 5):
+        ds = generate_dataset(sc, 2000, seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            run_method(method, ds, sc, 2.177)

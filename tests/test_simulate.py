@@ -162,6 +162,13 @@ def test_run_study_counts_failures_as_ncr():
     assert rows[0].ncr <= rows[0].n_reps  # never aborts, always accounted
 
 
+def test_ipw_runs_with_one_covariate():
+    """Example 2 has one covariate, so the just-identified IPW basis must go
+    to degree 2 ({1, x, x^2}) to match dim(theta) = 3."""
+    rows = run_study(example2(), n=2000, reps=5, methods=["ipw"], seed=1, tau0=3.677)
+    assert rows[0].ncr < rows[0].n_reps
+
+
 def test_run_study_thread_invariance():
     sc = example1(alpha0=-1.7, delta=0.0)
     kw = dict(n=300, reps=8, methods=["proposed"], seed=7, tau0=2.177)
