@@ -1,7 +1,8 @@
 """Nonparametric pairs-bootstrap confidence intervals for tau: studentized
 bootstrap-t and percentile.  Rows (r, y, x) are resampled jointly; quantiles
 use the type-7 (linear interpolation) convention so results are bit-exact
-for a fixed seed."""
+for a fixed seed.  Resamples are drawn from per-resample child seeds and
+fitted together in chunks."""
 
 from __future__ import annotations
 
@@ -10,11 +11,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, ModelConfig
-from .errors import MgfOverflowError, MnarError, NonConvergenceError, UsageError
-from .fitting import fit_with_variance, point_estimate
+from .errors import (
+    MgfOverflowError,
+    MnarError,
+    NonConvergenceError,
+    ReplicateErrors,
+    SingularDesignError,
+    UsageError,
+)
+from .fitting import fit_replicates, fit_with_variance, point_estimate
 from .inference import ConfidenceInterval
 
 FAILURE_TOLERANCE = 0.05
+
+#: resampled rows fitted together in one chunk: 50 resamples at n = 500,
+#: whose widest arrays, the score rows, then take about 2 MB
+CHUNK_ROWS = 25_000
 
 
 @dataclass(frozen=True)
@@ -53,28 +65,31 @@ def t_interval_from_stats(
 
 def _resample(ds: Dataset, B: int, seed: int, fit, statistic):
     """The pairs-bootstrap loop shared by both intervals.  Runs ``fit`` on the
-    original sample, then ``statistic(resample, fit(ds))`` on B resamples;
-    a statistic fails by raising MnarError or LinAlgError, and failures are
-    counted by error code.  Returns (fit(ds), statistics of the resamples
-    that succeeded, failure counts)."""
+    original sample, then draws the B resamples, each from its own child RNG,
+    in chunks of about CHUNK_ROWS rows.  ``statistic(idx, fit(ds))`` gets the
+    row indices (b, n) of a chunk's resamples and returns their b statistics
+    with the ReplicateErrors that failed some of them; failures are counted
+    by error code.  Returns (fit(ds), statistics of the resamples that
+    succeeded, failure counts)."""
     if B < 99:
         raise UsageError(f"B must be >= 99, got {B}")
     original = fit(ds)
+    rngs = _child_rngs(seed, B)
+    size = max(1, CHUNK_ROWS // ds.n)
     values = []
     failures: dict = {}
-    for rng in _child_rngs(seed, B):
-        star = ds.take(rng.integers(0, ds.n, size=ds.n))
-        if star.n_observed in (0, star.n):
-            code = "DEGENERATE"
-        else:
-            try:
-                values.append(statistic(star, original))
-                continue
-            except MnarError as exc:
-                code = exc.code
-            except np.linalg.LinAlgError:
-                code = "SINGULAR"
-        failures[code] = failures.get(code, 0) + 1
+    for start in range(0, B, size):
+        idx = np.stack([rng.integers(0, ds.n, size=ds.n) for rng in rngs[start : start + size]])
+        n1 = ds.r[idx].sum(axis=1)
+        fitted = np.flatnonzero((n1 > 0) & (n1 < ds.n))
+        codes = ["DEGENERATE"] * len(idx)
+        if fitted.size:
+            stats, errs = statistic(idx[fitted], original)
+            values.extend(stats[errs.ok])
+            for j, exc in zip(fitted, errs.errors):
+                codes[j] = None if exc is None else exc.code
+        for code in filter(None, codes):
+            failures[code] = failures.get(code, 0) + 1
     if len(values) < (1.0 - FAILURE_TOLERANCE) * B:
         raise NonConvergenceError(
             f"only {len(values)}/{B} bootstrap resamples succeeded; failures: {failures}"
@@ -95,16 +110,20 @@ def bootstrap_t_ci(
     n = ds.n
 
     def fit(sample):
-        tau, prop, var = fit_with_variance(sample, cfg, variant)
-        return tau.tau_hat, var.sigma2_tau, prop.converged
+        tau, _, var = fit_with_variance(sample, cfg, variant)
+        return tau.tau_hat, var.sigma2_tau
 
-    def t_star(star, original):
-        tau_s, sigma2_s, converged = fit(star)
-        if not converged or sigma2_s <= 0:
-            raise NonConvergenceError("resample fit did not converge or sigma2* <= 0")
-        return np.sqrt(n) * (tau_s - original[0]) / np.sqrt(sigma2_s)
+    def t_star(idx, original):
+        fits = fit_replicates(ds, cfg, idx, variant)
+        s2 = fits.sigma2_tau
+        fits.errors.record(
+            np.flatnonzero(~fits.converged | (s2 <= 0)),
+            lambda j: NonConvergenceError("resample fit did not converge or sigma2* <= 0"),
+        )
+        with np.errstate(all="ignore"):
+            return np.sqrt(n) * (fits.tau - original[0]) / np.sqrt(s2), fits.errors
 
-    (tau_hat, sigma2_tau, _), t_stats, failures = _resample(ds, B, seed, fit, t_star)
+    (tau_hat, sigma2_tau), t_stats, failures = _resample(ds, B, seed, fit, t_star)
     ci = t_interval_from_stats(tau_hat, float(np.sqrt(sigma2_tau)), n, t_stats, level)
     return BootstrapResult(
         ci=ci,
@@ -125,16 +144,33 @@ def bootstrap_percentile_ci(
     seed: int = 0,
 ) -> BootstrapResult:
     """Percentile CI for any of the point estimators of ``point_estimate``
-    (proposed, normal_plugin, ipw, gmm<k>)."""
+    (proposed, normal_plugin, ipw, gmm<k>).  ``proposed`` and
+    ``normal_plugin`` resamples are fitted together by ``fit_replicates``;
+    the others one at a time."""
 
     def fit(sample):
         return point_estimate(estimator_tag, sample, cfg)[0]
 
-    def tau_star(star, _):
-        t = fit(star)
-        if not np.isfinite(t):
-            raise MgfOverflowError("non-finite resample estimate")
-        return t
+    def tau_star(idx, _):
+        if estimator_tag in ("proposed", "normal_plugin"):
+            fits = fit_replicates(
+                ds, cfg, idx, variance=False, normal_plugin=estimator_tag == "normal_plugin"
+            )
+            taus, errs = fits.tau, fits.errors
+        else:
+            taus, errs = np.empty(len(idx)), ReplicateErrors(len(idx))
+            for j, rows in enumerate(idx):
+                try:
+                    taus[j] = fit(ds.take(rows))
+                except MnarError as exc:
+                    errs.record([j], lambda _: exc)
+                except np.linalg.LinAlgError as exc:
+                    errs.record([j], lambda _: SingularDesignError(str(exc)))
+        errs.record(
+            np.flatnonzero(~np.isfinite(taus)),
+            lambda j: MgfOverflowError("non-finite resample estimate"),
+        )
+        return taus, errs
 
     _, taus, failures = _resample(ds, B, seed, fit, tau_star)
     a = 1.0 - level

@@ -81,6 +81,7 @@ def cmd_fit(args) -> int:
         out["bootstrap_ci"] = [boot.ci.lower, boot.ci.upper]
         out["bootstrap_method"] = boot.ci.method
         out["bootstrap_successful"] = boot.n_successful
+        out["bootstrap_failure_counts"] = boot.failure_counts
     if args.diagnostics:
         ncv = ncv_score_test(res.outcome, res.design, ds)
         uss = uss_gof_test(ds, res.propensity, res.mu_hat, cfg)

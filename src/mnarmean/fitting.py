@@ -1,6 +1,7 @@
 """End-to-end two-step pipeline: design -> least squares -> conditional
-maximum likelihood -> tau_hat -> sandwich variance -> Wald CI, and the
-registry of point estimators that studies and the bootstrap dispatch on."""
+maximum likelihood -> tau_hat -> sandwich variance -> Wald CI, the kernel
+that runs that chain for a stack of resamples at once, and the registry of
+point estimators that studies and the bootstrap dispatch on."""
 
 from __future__ import annotations
 
@@ -16,19 +17,21 @@ from .data import (
     build_design,
     check_identifiability,
 )
-from .errors import IdentifiabilityError, UsageError
+from .errors import IdentifiabilityError, ReplicateErrors, UsageError
 from .inference import (
     ConfidenceInterval,
     SandwichPieces,
     VarianceEstimates,
     build_sandwich,
     estimate_sigma_tau,
+    sandwich_batch,
+    sigma_tau_batch,
     wald_ci,
 )
 from .ipw import monomial_basis, solve_gmm, solve_ipw
-from .mean_response import TauEstimate, estimate_tau, estimate_tau_normal_plugin
-from .outcome import OutcomeFit, fit_least_squares, predict_mu
-from .propensity import PropensityFit, fit_propensity
+from .mean_response import TauEstimate, estimate_tau, estimate_tau_normal_plugin, tau_batch
+from .outcome import OutcomeFit, fit_least_squares, least_squares_batch, predict_mu
+from .propensity import SCORE_TOL, PropensityFit, fit_propensity, newton_batch, z_stack
 
 
 @dataclass(frozen=True)
@@ -107,9 +110,57 @@ def fit_with_variance(ds: Dataset, cfg: ModelConfig, variant: str = "printed"):
     return fit[0], fit[1], _sandwich_variance(ds, cfg, fit, variant)[1]
 
 
+@dataclass(frozen=True)
+class ReplicateFits:
+    """fit_replicates' results, one entry per resample; the entries of a
+    resample whose ``errors.errors`` entry is not None carry no meaning."""
+
+    tau: np.ndarray
+    sigma2_tau: np.ndarray | None
+    converged: np.ndarray
+    errors: ReplicateErrors
+
+
+def fit_replicates(
+    ds: Dataset,
+    cfg: ModelConfig,
+    idx: np.ndarray,
+    variant: str = "printed",
+    variance: bool = True,
+    normal_plugin: bool = False,
+) -> ReplicateFits:
+    """fit_with_variance (or, with ``variance=False``, fit_tau_only) on b
+    resamples of ``ds`` at once; row j of ``idx`` (b, n) holds the row
+    indices of resample j.  The rows are gathered once, and every step runs
+    the batched form of its single-fit function, so resample j gets the
+    numbers and the error its own fit would give."""
+    b, n = idx.shape
+    star = ds.take(idx.ravel())
+    dm = build_design(star, cfg)
+    M = dm.M.reshape(b, n, -1)
+    r = star.r.reshape(b, n).astype(float)
+    errs = ReplicateErrors(b)
+    _, mu, eps, sigma2 = least_squares_batch(M, r, star.y.reshape(b, n), errs)
+    z = z_stack(dm.X1.reshape(b, n, -1), mu)
+    theta, _, _, gnorm = newton_batch(z, r, errs)
+    eta = r.sum(axis=1) / n
+    tau, *_ = tau_batch(
+        eta, mu.mean(axis=1), theta, eps, errs, obs=r == 1,
+        sigma2=sigma2 if normal_plugin else None,
+    )
+    sigma2_tau = None
+    if variance:
+        pieces = sandwich_batch(M, r, eps, mu, z, theta, errs)
+        sigma2_tau = sigma_tau_batch(pieces, eta, theta[:, -1], variant, errs)[0]
+    return ReplicateFits(
+        tau=tau, sigma2_tau=sigma2_tau, converged=gnorm < SCORE_TOL, errors=errs
+    )
+
+
 def point_estimate(tag: str, ds: Dataset, cfg: ModelConfig):
     """The estimator registry: (tau_hat, gamma_hat, converged) for ``proposed``,
     ``normal_plugin``, ``ipw`` and ``gmm<k>``; raises MnarError on failure."""
+    check_estimator_tag(tag)
     if tag == "proposed":
         tau, prop, *_ = fit_tau_only(ds, cfg)
     elif tag == "normal_plugin":
@@ -117,12 +168,18 @@ def point_estimate(tag: str, ds: Dataset, cfg: ModelConfig):
     else:
         if tag == "ipw":
             fit = solve_ipw(ds, cfg, _ipw_basis(ds.d, cfg.p))
-        elif tag.startswith("gmm") and tag[3:].isdigit():
-            fit = solve_gmm(ds, cfg, int(tag[3:]))
         else:
-            raise UsageError(f"unknown estimator tag {tag!r}")
+            fit = solve_gmm(ds, cfg, int(tag[3:]))
         return fit.tau_ipw, fit.gamma_hat, fit.converged
     return tau.tau_hat, prop.gamma_hat, prop.converged
+
+
+def check_estimator_tag(tag: str) -> None:
+    """Raise UsageError unless ``point_estimate`` knows ``tag``."""
+    if tag not in ("proposed", "normal_plugin", "ipw") and not (
+        tag.startswith("gmm") and tag[3:].isdigit()
+    ):
+        raise UsageError(f"unknown estimator tag {tag!r}")
 
 
 def _ipw_basis(d: int, p: int):

@@ -20,7 +20,13 @@ from scipy.special import expit
 from scipy.stats import norm
 
 from .data import Dataset, DesignMatrices, ModelConfig
-from .errors import MgfOverflowError, SingularDesignError, UsageError
+from .errors import (
+    MgfOverflowError,
+    ReplicateErrors,
+    SingularDesignError,
+    UsageError,
+    linalg_each,
+)
 from .mean_response import MGF_RANGE
 from .outcome import OutcomeFit
 from .propensity import PropensityFit, _z_matrix
@@ -61,35 +67,45 @@ class VarianceEstimates:
     clipped: bool
 
 
-def _exp_gamma_eps(eps: np.ndarray, gamma: float) -> np.ndarray:
-    s = gamma * eps
-    if np.abs(s).max(initial=0.0) > MGF_RANGE:
-        i = int(np.argmax(np.abs(s)))
-        raise MgfOverflowError(
-            f"gamma * residual = {s[i]:.3g} at row {i} exceeds the "
-            f"stabilized range {MGF_RANGE:g}"
-        )
-    return np.exp(s)
-
-
 def _propensity_rows(ds, mu_hat, propensity_fit, cfg):
     """Per-row z_i = (1, x1_i, mu_hat_i) and fitted pi_i."""
     z = _z_matrix(ds, mu_hat, cfg)
     return z, expit(-(z @ propensity_fit.theta_hat))
 
 
-def _tilt_rows(ds, outcome_fit, gamma_hat):
-    """Per-row r_i, eps_i (0 where y is missing) and r_i e^{gamma eps_i}."""
-    r = ds.r.astype(float)
+def _residual_rows(ds, outcome_fit):
+    """Per-row r_i and eps_i (0 where y is missing)."""
     eps = np.zeros(ds.n)
     eps[ds.r == 1] = outcome_fit.residuals
-    return r, eps, r * _exp_gamma_eps(eps, gamma_hat)
+    return ds.r.astype(float), eps
+
+
+def _tilt(eps, gamma, errs):
+    """e^{gamma eps} for b fits at once: eps (b, n), gamma (b,)."""
+    s = gamma[:, None] * eps
+    big = np.abs(s)
+
+    def overflow(j):
+        i = int(np.argmax(big[j]))
+        return MgfOverflowError(
+            f"gamma * residual = {s[j, i]:.3g} at row {i} exceeds the "
+            f"stabilized range {MGF_RANGE:g}"
+        )
+
+    errs.record(np.flatnonzero(np.max(big, axis=1, initial=0.0) > MGF_RANGE), overflow)
+    return np.exp(s)
 
 
 def _A_matrices(M, r, z, pi):
-    n = M.shape[0]
-    zw = z * (pi * (1.0 - pi))[:, None]
-    return (M * r[:, None]).T @ M / n, zw.T @ z / n, zw.T @ M / n, M.mean(axis=0)
+    n = M.shape[-2]
+    zw = z * (pi * (1.0 - pi))[..., None]
+    zwt = zw.swapaxes(-1, -2)
+    return (
+        (M * r[..., None]).swapaxes(-1, -2) @ M / n,
+        zwt @ z / n,
+        zwt @ M / n,
+        M.mean(axis=-2),
+    )
 
 
 def estimate_A_matrices(
@@ -107,10 +123,21 @@ def estimate_A_matrices(
     return _A_matrices(dm.M, ds.r.astype(float), z, pi)
 
 
-def _checked_inverse(A: np.ndarray, name: str) -> np.ndarray:
-    if np.linalg.cond(A) > COND_LIMIT:
-        raise SingularDesignError(f"{name} is numerically singular")
-    return np.linalg.inv(A)
+def _checked_inverse(A: np.ndarray, name: str, errs: ReplicateErrors) -> np.ndarray:
+    """Inverses of the stacked A; a member fails when its condition number
+    exceeds COND_LIMIT or LAPACK cannot factor it."""
+
+    def error(j):
+        return SingularDesignError(f"{name} is numerically singular")
+
+    cond, failed = linalg_each(np.linalg.cond, A.shape[:-2], A)
+    errs.record(list(failed), error)
+    errs.record(np.flatnonzero(cond > COND_LIMIT), error)
+    rows = np.flatnonzero(errs.ok)
+    inv = np.full(A.shape, np.nan)
+    inv[rows], failed = linalg_each(np.linalg.inv, (rows.size,) + A.shape[1:], A[rows])
+    errs.record(rows[list(failed)], error)
+    return inv
 
 
 def _joint_covariance(A1inv, A2inv, A3, sigma2_hat, gamma_hat) -> np.ndarray:
@@ -132,16 +159,15 @@ def _joint_covariance(A1inv, A2inv, A3, sigma2_hat, gamma_hat) -> np.ndarray:
 
 def _score_rows_and_V(M, mu_hat, r, z, pi, eps, e, B):
     B1, B2, _ = B
-    cols = [
-        (r - r.mean())[:, None],
-        M * (r * eps)[:, None],
-        z * (r - pi)[:, None],
-        (mu_hat - mu_hat.mean())[:, None],
-        (e - B1)[:, None],
-        (eps * e - B2)[:, None],
-    ]
-    Shat = np.hstack(cols)
-    return Shat, Shat.T @ Shat / M.shape[0]
+    q, p = M.shape[-1], z.shape[-1]
+    Shat = np.empty(M.shape[:-1] + (q + p + 4,))
+    Shat[..., 0] = r - r.mean(axis=-1, keepdims=True)
+    Shat[..., 1 : 1 + q] = M * (r * eps)[..., None]
+    Shat[..., 1 + q : 1 + q + p] = z * (r - pi)[..., None]
+    Shat[..., -3] = mu_hat - mu_hat.mean(axis=-1, keepdims=True)
+    Shat[..., -2] = e - np.expand_dims(B1, -1)
+    Shat[..., -1] = eps * e - np.expand_dims(B2, -1)
+    return Shat, Shat.swapaxes(-1, -2) @ Shat / M.shape[-2]
 
 
 def build_score_rows_and_V(
@@ -154,9 +180,29 @@ def build_score_rows_and_V(
     B: tuple[float, float, float],
 ):
     """Per-row estimating-function residuals S_hat_i and V_hat = n^-1 S'S."""
-    r, eps, e = _tilt_rows(ds, outcome_fit, propensity_fit.gamma_hat)
+    r, eps = _residual_rows(ds, outcome_fit)
+    errs = ReplicateErrors(1)
+    e = r * _tilt(eps[None], np.array([propensity_fit.gamma_hat]), errs)[0]
+    errs.raise_first()
     z, pi = _propensity_rows(ds, mu_hat, propensity_fit, cfg)
     return _score_rows_and_V(dm.M, mu_hat, r, z, pi, eps, e, B)
+
+
+@np.errstate(all="ignore")
+def sandwich_batch(M, r, eps, mu_hat, z, theta, errs: ReplicateErrors) -> SandwichPieces:
+    """build_sandwich for b fits at once: M (b, n, q), r, eps and mu_hat
+    (b, n), z (b, n, p) and theta (b, p).  Every piece gains a leading
+    replicate axis, and B is a tuple of three (b,) arrays."""
+    n = M.shape[1]
+    pi = expit(-(z @ theta[..., None])[..., 0])
+    e = r * _tilt(eps, theta[:, -1], errs)
+    A1, A2, A3, A4 = _A_matrices(M, r, z, pi)
+    ee = eps * e
+    B = (e.mean(axis=1), ee.mean(axis=1), (eps * ee).mean(axis=1))
+    C1 = (e[:, None, :] @ M)[:, 0] / n
+    C2 = (ee[:, None, :] @ M)[:, 0] / n
+    Shat, V = _score_rows_and_V(M, mu_hat, r, z, pi, eps, e, B)
+    return SandwichPieces(A1=A1, A2=A2, A3=A3, A4=A4, B=B, C1=C1, C2=C2, V=V, Shat=Shat)
 
 
 def build_sandwich(
@@ -169,16 +215,91 @@ def build_sandwich(
 ) -> SandwichPieces:
     """The A-matrices, B_k = n^-1 sum r eps^{k-1} e^{g eps} (k=1,2,3),
     C_k = n^-1 sum r eps^{k-1} e^{g eps} M_i' (k=1,2), and the score rows
-    with V_hat; the per-row pi, z, eps and e^{g eps} are formed once."""
-    M = dm.M
-    r, eps, e = _tilt_rows(ds, outcome_fit, propensity_fit.gamma_hat)
-    z, pi = _propensity_rows(ds, mu_hat, propensity_fit, cfg)
-    A1, A2, A3, A4 = _A_matrices(M, r, z, pi)
-    B = (float(e.mean()), float((eps * e).mean()), float((eps**2 * e).mean()))
-    C1 = M.T @ e / ds.n
-    C2 = M.T @ (eps * e) / ds.n
-    Shat, V = _score_rows_and_V(M, mu_hat, r, z, pi, eps, e, B)
-    return SandwichPieces(A1=A1, A2=A2, A3=A3, A4=A4, B=B, C1=C1, C2=C2, V=V, Shat=Shat)
+    with V_hat: sandwich_batch with b = 1."""
+    r, eps = _residual_rows(ds, outcome_fit)
+    z = _z_matrix(ds, mu_hat, cfg)
+    errs = ReplicateErrors(1)
+    pieces = sandwich_batch(
+        dm.M[None], r[None], eps[None], mu_hat[None], z[None],
+        propensity_fit.theta_hat[None], errs,
+    )
+    errs.raise_first()
+    return _map_pieces(pieces, lambda a: a[0])
+
+
+def _map_pieces(pieces: SandwichPieces, fn) -> SandwichPieces:
+    """The pieces with ``fn`` applied to every array and to each B_k."""
+    arrays = ("A1", "A2", "A3", "A4", "C1", "C2", "V", "Shat")
+    return SandwichPieces(
+        B=tuple(fn(v) for v in pieces.B), **{f: fn(getattr(pieces, f)) for f in arrays}
+    )
+
+
+def _vm(v, A):
+    """Row vectors times matrices over a leading replicate axis."""
+    return (v[:, None, :] @ A)[:, 0]
+
+
+@np.errstate(all="ignore")
+def sigma_tau_batch(
+    pieces: SandwichPieces, eta, gamma, variant: str, errs: ReplicateErrors
+):
+    """estimate_sigma_tau for b fits at once, on the pieces of
+    sandwich_batch with eta and gamma (b,).  Returns (sigma2_tau, D, H1, H2,
+    clipped, A1inv, A2inv), each with a leading replicate axis."""
+    if variant not in H1_VARIANTS:
+        raise UsageError(f"unknown H1 variant {variant!r}; use one of {H1_VARIANTS}")
+    A1inv = _checked_inverse(pieces.A1, "A1", errs)
+    A2inv = _checked_inverse(pieces.A2, "A2", errs)
+    B1, B2, B3 = pieces.B
+    errs.record(
+        np.flatnonzero(~(B1 > 0)),
+        lambda j: SingularDesignError(f"B1 must be positive, got {B1[j]}"),
+    )
+    one_minus_eta = 1.0 - eta
+    ep_A2inv = A2inv[:, -1, :]  # gamma occupies the last theta slot
+
+    c1_coef = B2 / B1**2
+    if variant == "derived":
+        c1_coef = c1_coef * gamma
+    h1_factor = B2 - B1 * B3 if variant == "printed" else B2**2 - B1 * B3
+
+    def col(v):
+        return v[:, None]
+
+    H1 = (
+        _vm(pieces.A4, A1inv)
+        + _vm(
+            col(one_minus_eta)
+            * (col(c1_coef) * pieces.C1 - pieces.C1 / col(B1) - col(gamma) * pieces.C2 / col(B1)),
+            A1inv,
+        )
+        + col((one_minus_eta * gamma / B1**2) * h1_factor)
+        * _vm(_vm(ep_A2inv, pieces.A3), A1inv)
+    )
+    H2 = col((B2**2 - B1 * B3) * one_minus_eta / B1**2) * ep_A2inv
+
+    D = np.concatenate(
+        [
+            col(-B2 / B1),
+            H1,
+            H2,
+            np.column_stack(
+                [np.ones_like(B1), -one_minus_eta * B2 / B1**2, one_minus_eta / B1]
+            ),
+        ],
+        axis=1,
+    )
+    s2 = (D[:, None, :] @ pieces.V @ D[:, :, None])[:, 0, 0]
+    errs.record(
+        np.flatnonzero(~np.isfinite(s2)),
+        lambda j: MgfOverflowError(
+            "sigma2_tau is not finite: the tilt e^{gamma eps} overflows a float"
+        ),
+    )
+    clipped = s2 < 0.0
+    s2 = np.where(clipped, 0.0, s2)
+    return s2, D, H1, H2, clipped, A1inv, A2inv
 
 
 def estimate_sigma_tau(
@@ -188,52 +309,21 @@ def estimate_sigma_tau(
     sigma2_hat: float,
     variant: str = "printed",
 ) -> VarianceEstimates:
-    """Assemble D_hat and sigma2_tau = D' V D.  ``variant`` selects the H1
-    scalar-factor convention (see module docstring)."""
-    if variant not in H1_VARIANTS:
-        raise UsageError(f"unknown H1 variant {variant!r}; use one of {H1_VARIANTS}")
-    A1inv = _checked_inverse(pieces.A1, "A1")
-    A2inv = _checked_inverse(pieces.A2, "A2")
-    B1, B2, B3 = pieces.B
-    if not B1 > 0:
-        raise SingularDesignError(f"B1 must be positive, got {B1}")
-    q = pieces.A1.shape[0]
-    p = pieces.A2.shape[0]
-    one_minus_eta = 1.0 - eta_hat
-    ep = np.zeros(p)
-    ep[-1] = 1.0  # gamma occupies the last theta slot
-    ep_A2inv = ep @ A2inv
-
-    c1_coef = B2 / B1**2
-    if variant == "derived":
-        c1_coef *= gamma_hat
-    h1_factor = B2 - B1 * B3 if variant == "printed" else B2**2 - B1 * B3
-    H1 = (
-        pieces.A4 @ A1inv
-        + one_minus_eta
-        * (c1_coef * pieces.C1 - pieces.C1 / B1 - gamma_hat * pieces.C2 / B1)
-        @ A1inv
-        + (one_minus_eta * gamma_hat / B1**2)
-        * h1_factor
-        * (ep_A2inv @ pieces.A3 @ A1inv)
+    """Assemble D_hat and sigma2_tau = D' V D: sigma_tau_batch with b = 1.
+    ``variant`` selects the H1 scalar-factor convention (see module
+    docstring)."""
+    errs = ReplicateErrors(1)
+    s2, D, H1, H2, clipped, A1inv, A2inv = sigma_tau_batch(
+        _map_pieces(pieces, lambda a: np.asarray(a, dtype=float)[None]),
+        np.array([eta_hat]),
+        np.array([gamma_hat]),
+        variant,
+        errs,
     )
-    H2 = (B2**2 - B1 * B3) * one_minus_eta / B1**2 * ep_A2inv
-
-    D = np.concatenate(
-        [
-            [-B2 / B1],
-            H1,
-            H2,
-            [1.0, -one_minus_eta * B2 / B1**2, one_minus_eta / B1],
-        ]
-    )
-    s2 = float(D @ pieces.V @ D)
-    clipped = s2 < 0.0
-    if clipped:
-        s2 = 0.0
-    Sigma = _joint_covariance(A1inv, A2inv, pieces.A3, sigma2_hat, gamma_hat)
+    errs.raise_first()
+    Sigma = _joint_covariance(A1inv[0], A2inv[0], pieces.A3, sigma2_hat, gamma_hat)
     return VarianceEstimates(
-        Sigma=Sigma, sigma2_tau=s2, D=D, H1=H1, H2=H2, clipped=clipped
+        Sigma=Sigma, sigma2_tau=float(s2[0]), D=D[0], H1=H1[0], H2=H2[0], clipped=bool(clipped[0])
     )
 
 

@@ -3,7 +3,8 @@ residuals and the mean-response estimator
 
     tau_hat = n^-1 sum_i mu(x_i; xi_hat) + (1 - eta_hat) M2_hat(g) / M1_hat(g),
 
-plus a normal-error plug-in comparator."""
+plus a normal-error plug-in comparator.  ``tau_batch`` serves b fits at
+once; ``estimate_tau`` and ``estimate_tau_normal_plugin`` are its b = 1 case."""
 
 from __future__ import annotations
 
@@ -12,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import DegenerateDataError, MgfOverflowError
+from .errors import DegenerateDataError, MgfOverflowError, ReplicateErrors
 from .outcome import OutcomeFit
-from .propensity import PropensityFit, recover_alpha0
+from .propensity import PropensityFit, alpha0_batch
 
 # |t * residual| beyond this cannot be represented even after max-shift
 MGF_RANGE = 1e4
@@ -29,38 +30,95 @@ class TauEstimate:
     alpha0_hat: float
 
 
-def _shifted_exponentials(residuals: np.ndarray, t: float):
-    s = t * residuals
+@np.errstate(all="ignore")
+def mgf_batch(res: np.ndarray, t: np.ndarray, errs: ReplicateErrors, obs=None):
+    """(M1_hat(t), M2_hat(t), M2_hat(t) / M1_hat(t)) for b residual vectors
+    at once: res (b, k) and t (b,); with the mask ``obs`` (b, k), only its
+    entries count.  max(t * eps) is factored out so that the sums cannot
+    overflow, and the ratio is formed without either factor, so it stays
+    bounded even when the MGF itself would overflow a float."""
+    s = t[:, None] * res
     bad = np.abs(s) > MGF_RANGE
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise MgfOverflowError(
-            f"t * residual = {s[i]:.3g} at residual index {i} exceeds the "
+    if obs is not None:
+        bad &= obs
+        s = np.where(obs, s, -np.inf)
+
+    def overflow(j):
+        i = int(np.argmax(bad[j]))
+        index = i if obs is None else int(obs[j, :i].sum())
+        return MgfOverflowError(
+            f"t * residual = {s[j, i]:.3g} at residual index {index} exceeds the "
             f"stabilized range {MGF_RANGE:g}"
         )
-    c = float(np.max(s))
-    return np.exp(s - c), c
+
+    errs.record(np.flatnonzero(bad.any(axis=1)), overflow)
+    c = np.max(s, axis=1)
+    w = np.exp(s - c[:, None])
+    k = res.shape[1] if obs is None else obs.sum(axis=1)
+    sum_w = np.sum(w, axis=1)
+    sum_rw = np.sum(res * w, axis=1)
+    scale = np.exp(c)
+    return scale * (sum_w / k), scale * (sum_rw / k), sum_rw / sum_w
+
+
+def _mgf(residuals: np.ndarray, t: float):
+    residuals = np.asarray(residuals, dtype=float)
+    errs = ReplicateErrors(1)
+    out = mgf_batch(residuals[None], np.array([float(t)]), errs)
+    errs.raise_first()
+    return [float(v[0]) for v in out]
 
 
 def empirical_mgf(residuals: np.ndarray, t: float) -> tuple[float, float]:
     """(M1_hat(t), M2_hat(t)) = (mean e^{t eps}, mean eps e^{t eps}), computed
     by factoring out max(t*eps) so the intermediate sums cannot overflow."""
-    residuals = np.asarray(residuals, dtype=float)
-    if residuals.size == 0:
+    if np.size(residuals) == 0:
         raise DegenerateDataError("empirical_mgf requires at least one residual")
-    w, c = _shifted_exponentials(residuals, t)
-    scale = np.exp(c)
-    m1 = scale * float(np.mean(w))
-    m2 = scale * float(np.mean(residuals * w))
+    m1, m2, _ = _mgf(residuals, t)
     return m1, m2
 
 
 def mgf_ratio(residuals: np.ndarray, t: float) -> float:
     """M2_hat(t) / M1_hat(t) without forming either factor (bounded even when
     the MGF itself would overflow a float)."""
-    residuals = np.asarray(residuals, dtype=float)
-    w, _ = _shifted_exponentials(residuals, t)
-    return float(np.sum(residuals * w) / np.sum(w))
+    return _mgf(residuals, t)[2]
+
+
+@np.errstate(all="ignore")
+def tau_batch(eta, mu_mean, theta, eps, errs: ReplicateErrors, obs=None, sigma2=None):
+    """(tau_hat, M1, M2, alpha0) for b fits at once: eta, mu_mean (b,),
+    theta (b, p) and the residuals eps (b, k), of which only the entries in
+    the mask ``obs`` count when it is given.  With ``sigma2`` (b,) given, the
+    normal-error plug-in replaces the empirical MGF."""
+    errs.record(
+        np.flatnonzero((eta == 0.0) | (eta == 1.0)),
+        lambda j: DegenerateDataError("eta_hat is degenerate (all r equal)"),
+    )
+    gamma = theta[:, -1]
+    if sigma2 is None:
+        m1, m2, ratio = mgf_batch(eps, gamma, errs, obs)
+        tau = mu_mean + (1.0 - eta) * ratio
+    else:
+        m1 = np.exp(gamma**2 * sigma2 / 2.0)
+        m2 = gamma * sigma2 * m1
+        tau = mu_mean + (1.0 - eta) * gamma * sigma2
+    return tau, m1, m2, alpha0_batch(theta[:, 0], m1, errs)
+
+
+def _estimate_tau(ds, outcome_fit, propensity_fit, mu_hat, normal_plugin):
+    eta = ds.n_observed / ds.n
+    errs = ReplicateErrors(1)
+    out = tau_batch(
+        np.array([eta]),
+        np.array([np.mean(mu_hat)]),
+        propensity_fit.theta_hat[None],
+        outcome_fit.residuals[None],
+        errs,
+        sigma2=np.array([outcome_fit.sigma2_hat]) if normal_plugin else None,
+    )
+    errs.raise_first()
+    tau, m1, m2, alpha0 = (float(v[0]) for v in out)
+    return TauEstimate(tau_hat=tau, eta_hat=eta, m1_hat=m1, m2_hat=m2, alpha0_hat=alpha0)
 
 
 def estimate_tau(
@@ -69,19 +127,9 @@ def estimate_tau(
     propensity_fit: PropensityFit,
     mu_hat: np.ndarray,
 ) -> TauEstimate:
-    """Plug-in mean-response estimate; the mu term averages over ALL rows."""
-    eta = ds.n_observed / ds.n
-    if eta in (0.0, 1.0):
-        raise DegenerateDataError("eta_hat is degenerate (all r equal)")
-    gamma = propensity_fit.gamma_hat
-    m1, m2 = empirical_mgf(outcome_fit.residuals, gamma)
-    tau = float(np.mean(mu_hat)) + (1.0 - eta) * mgf_ratio(
-        outcome_fit.residuals, gamma
-    )
-    alpha0 = recover_alpha0(propensity_fit, m1)
-    return TauEstimate(
-        tau_hat=tau, eta_hat=eta, m1_hat=m1, m2_hat=m2, alpha0_hat=alpha0
-    )
+    """Plug-in mean-response estimate; the mu term averages over ALL rows.
+    tau_batch with b = 1."""
+    return _estimate_tau(ds, outcome_fit, propensity_fit, mu_hat, normal_plugin=False)
 
 
 def estimate_tau_normal_plugin(
@@ -92,15 +140,4 @@ def estimate_tau_normal_plugin(
 ) -> TauEstimate:
     """Comparator assuming Gaussian errors: M1(t) = e^{t^2 s^2 / 2} and
     M2(t) = t s^2 M1(t), so the correction term reduces to gamma * sigma2."""
-    eta = ds.n_observed / ds.n
-    if eta in (0.0, 1.0):
-        raise DegenerateDataError("eta_hat is degenerate (all r equal)")
-    gamma = propensity_fit.gamma_hat
-    s2 = outcome_fit.sigma2_hat
-    m1 = float(np.exp(gamma**2 * s2 / 2.0))
-    m2 = gamma * s2 * m1
-    tau = float(np.mean(mu_hat)) + (1.0 - eta) * gamma * s2
-    alpha0 = recover_alpha0(propensity_fit, m1)
-    return TauEstimate(
-        tau_hat=tau, eta_hat=eta, m1_hat=m1, m2_hat=m2, alpha0_hat=alpha0
-    )
+    return _estimate_tau(ds, outcome_fit, propensity_fit, mu_hat, normal_plugin=True)

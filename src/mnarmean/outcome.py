@@ -1,5 +1,8 @@
 """Step 1: least-squares fit of the outcome mean on complete cases, with
-residuals and the error-variance plug-in (divides by n1, not n1 - q)."""
+residuals and the error-variance plug-in (divides by n1, not n1 - q).
+
+``least_squares_batch`` fits b designs at once; ``fit_least_squares`` is its
+b = 1 case."""
 
 from __future__ import annotations
 
@@ -9,7 +12,7 @@ import numpy as np
 import scipy.linalg
 
 from .data import Dataset, DesignMatrices
-from .errors import DegenerateDataError, SingularDesignError
+from .errors import DegenerateDataError, ReplicateErrors, SingularDesignError
 
 RANK_TOL = 1e-10
 
@@ -22,31 +25,64 @@ class OutcomeFit:
     n1: int
 
 
-def fit_least_squares(ds: Dataset, dm: DesignMatrices) -> OutcomeFit:
-    """xi_hat = argmin sum_{r_i=1} (y_i - M_i xi)^2 via column-pivoted QR."""
-    obs = ds.r == 1
-    Mc = dm.M[obs]
-    yc = ds.y[obs]
-    n1, q = Mc.shape
-    if n1 < q:
-        raise DegenerateDataError(
-            f"only {n1} complete cases for {q} mean parameters"
-        )
-    Q, R, piv = scipy.linalg.qr(Mc, mode="economic", pivoting=True)
+def _dependent_columns(Mc: np.ndarray) -> list[int]:
+    """Columns of the complete-case design that column-pivoted QR finds
+    linearly dependent on the others (empty when Mc has full column rank)."""
+    R, piv = scipy.linalg.qr(Mc, mode="r", pivoting=True)
     diag = np.abs(np.diag(R))
     rank = int((diag > RANK_TOL * diag[0]).sum()) if diag[0] > 0 else 0
-    if rank < q:
-        dep = sorted(int(piv[k]) for k in range(rank, q))
-        raise SingularDesignError(
-            f"rank-deficient design: columns {dep} are linearly dependent "
-            "on the others"
-        )
-    xi_piv = scipy.linalg.solve_triangular(R, Q.T @ yc)
-    xi = np.empty(q)
-    xi[piv] = xi_piv
-    resid = yc - Mc @ xi
-    sigma2 = float(resid @ resid / n1)
-    return OutcomeFit(xi_hat=xi, residuals=resid, sigma2_hat=sigma2, n1=n1)
+    return sorted(int(piv[k]) for k in range(rank, Mc.shape[1]))
+
+
+@np.errstate(all="ignore")
+def least_squares_batch(M, r, y, errs: ReplicateErrors):
+    """xi_hat = argmin sum_{r_i=1} (y_i - M_i xi)^2 for b designs at once:
+    M (b, n, q), r and y (b, n).  Missing rows are zeroed, which leaves each
+    fit that of its complete cases.  Returns xi (b, q), mu = M xi (b, n), the
+    residuals eps (b, n), 0 where y is missing, and sigma2 (b,); a failed
+    replicate has xi = 0."""
+    b, n, q = M.shape
+    obs = r == 1
+    n1 = obs.sum(axis=1)
+    errs.record(
+        np.flatnonzero(n1 < q),
+        lambda j: DegenerateDataError(
+            f"only {n1[j]} complete cases for {q} mean parameters"
+        ),
+    )
+    Q, R = np.linalg.qr(M * obs[..., None])
+    # every |R_kk| of the pivoted QR lies between the extreme singular values,
+    # so a clear margin over RANK_TOL means full rank; pivoted QR settles the rest
+    sv = np.linalg.svd(R, compute_uv=False)
+    unclear = np.flatnonzero(errs.ok & ~(sv[:, -1] > 100.0 * RANK_TOL * sv[:, 0]))
+    dependent = {j: _dependent_columns(M[j][obs[j]]) for j in unclear}
+    errs.record(
+        [j for j in unclear if dependent[j]],
+        lambda j: SingularDesignError(
+            f"rank-deficient design: columns {dependent[j]} are linearly "
+            "dependent on the others"
+        ),
+    )
+    ok = errs.ok
+    qty = (np.where(obs, y, 0.0)[:, None, :] @ Q)[:, 0]
+    xi = np.zeros((b, q))
+    xi[ok] = np.linalg.solve(R[ok], qty[ok][..., None])[..., 0]
+    mu = (M @ xi[..., None])[..., 0]
+    eps = np.where(obs, y - mu, 0.0)
+    sigma2 = np.einsum("bn,bn->b", eps, eps) / n1
+    return xi, mu, eps, sigma2
+
+
+def fit_least_squares(ds: Dataset, dm: DesignMatrices) -> OutcomeFit:
+    """xi_hat = argmin sum_{r_i=1} (y_i - M_i xi)^2: least_squares_batch
+    with b = 1."""
+    errs = ReplicateErrors(1)
+    xi, _, eps, sigma2 = least_squares_batch(dm.M[None], ds.r[None], ds.y[None], errs)
+    errs.raise_first()
+    obs = ds.r == 1
+    return OutcomeFit(
+        xi_hat=xi[0], residuals=eps[0][obs], sigma2_hat=float(sigma2[0]), n1=int(obs.sum())
+    )
 
 
 def predict_mu(fit: OutcomeFit, dm: DesignMatrices) -> np.ndarray:

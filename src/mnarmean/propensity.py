@@ -3,7 +3,8 @@ under the induced logistic model
 
     pr(R=1 | x) = 1 / (1 + exp(alpha + x1' beta + gamma * mu_hat(x))),
 
-fitted by Newton iteration with step halving.  Note the sign convention: a
+fitted by Newton iteration with step halving; ``newton_batch`` runs b such
+fits at once and ``fit_propensity`` is its b = 1 case.  Note the sign convention: a
 LARGER linear predictor means a HIGHER missingness probability, so this is
 the mirror image of a textbook logistic fit."""
 
@@ -15,7 +16,13 @@ import numpy as np
 from scipy.special import expit
 
 from .data import Dataset, ModelConfig, select_x1
-from .errors import DegenerateDataError, SeparationError, SingularDesignError
+from .errors import (
+    DegenerateDataError,
+    ReplicateErrors,
+    SeparationError,
+    SingularDesignError,
+    linalg_each,
+)
 
 SCORE_TOL = 1e-8
 MAX_ITER = 100
@@ -40,42 +47,65 @@ class PropensityFit:
         return float(self.theta_hat[-1])
 
 
+def z_stack(x1: np.ndarray, mu_hat: np.ndarray) -> np.ndarray:
+    """z_i = (1, x1_i, mu_hat_i) for x1 (..., n, p - 2) and mu_hat (..., n)."""
+    z = np.empty(mu_hat.shape + (x1.shape[-1] + 2,))
+    z[..., 0] = 1.0
+    z[..., 1:-1] = x1
+    z[..., -1] = mu_hat
+    return z
+
+
 def _z_matrix(ds: Dataset, mu_hat: np.ndarray, cfg: ModelConfig) -> np.ndarray:
-    return np.column_stack([np.ones(ds.n), select_x1(ds.x, cfg.x1_columns), mu_hat])
+    return z_stack(select_x1(ds.x, cfg.x1_columns), mu_hat)
 
 
-def _linear_predictor(z: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    return z @ theta
+def _loglik(r, zt, theta):
+    """l_n for b fits at once: r (b, n), zt (b, p, n), the transposed z, and
+    theta (b, p)."""
+    u = (theta[..., None, :] @ zt)[..., 0, :]
+    # log pi = -log(1 + e^u), log(1 - pi) = u - log(1 + e^u); log(1 + e^u) in
+    # the form of np.logaddexp(0, u), which is several times slower
+    log1pe = np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u)))
+    return np.sum((1 - r) * u - log1pe, axis=-1)
+
+
+@np.errstate(over="ignore")
+def _score_hessian(r, zt, theta, hessian=True):
+    """Score sum (r_i - pi_i) z_i (b, p) and, if asked, the hessian
+    -sum pi(1-pi) z z' (b, p, p) for b fits at once, zt as in _loglik."""
+    # pi = expit(-u) in the form of scipy's expit, which is several times slower
+    pi = 1.0 / (1.0 + np.exp((theta[..., None, :] @ zt)[..., 0, :]))
+    score = (zt @ (r - pi)[..., None])[..., 0]
+    if not hessian:
+        return score
+    zw = zt * (pi * (1.0 - pi))[..., None, :]
+    return score, -(zw @ zt.swapaxes(-1, -2))
 
 
 def log_conditional_likelihood_z(r, z, theta) -> float:
-    u = _linear_predictor(z, theta)
-    # log pi = -log(1 + e^u), log(1 - pi) = u - log(1 + e^u)
-    log1pe = np.logaddexp(0.0, u)
-    return float(np.sum(-r * log1pe + (1 - r) * (u - log1pe)))
+    return float(_loglik(np.asarray(r)[None], z.T[None], np.asarray(theta, float)[None])[0])
 
 
 def log_conditional_likelihood(
     ds: Dataset, mu_hat: np.ndarray, theta: np.ndarray, cfg: ModelConfig
 ) -> float:
     """l_n(theta, xi_hat) = sum r log(pi) + (1-r) log(1-pi), stabilized."""
-    return log_conditional_likelihood_z(ds.r, _z_matrix(ds, mu_hat, cfg), np.asarray(theta, float))
+    return log_conditional_likelihood_z(ds.r, _z_matrix(ds, mu_hat, cfg), theta)
 
 
 def score_and_hessian_z(r, z, theta):
-    u = _linear_predictor(z, theta)
-    pi = expit(-u)
-    w = pi * (1.0 - pi)
-    score = z.T @ (r - pi)
-    hessian = -(z * w[:, None]).T @ z
-    return score, hessian
+    score, hessian = _score_hessian(
+        np.asarray(r)[None], z.T[None], np.asarray(theta, float)[None]
+    )
+    return score[0], hessian[0]
 
 
 def score_and_hessian(ds: Dataset, mu_hat: np.ndarray, theta: np.ndarray, cfg: ModelConfig):
     """Estimating-function convention: score = sum (r_i - pi_i) z_i, which is
     the NEGATIVE gradient of l_n under this model's sign convention; the
     returned hessian -sum pi(1-pi) z z' is the hessian of l_n."""
-    return score_and_hessian_z(ds.r, _z_matrix(ds, mu_hat, cfg), np.asarray(theta, float))
+    return score_and_hessian_z(ds.r, _z_matrix(ds, mu_hat, cfg), theta)
 
 
 def propensity_probabilities(
@@ -86,74 +116,115 @@ def propensity_probabilities(
     return expit(-(z @ np.asarray(theta, float)))
 
 
-def fit_propensity(ds: Dataset, mu_hat: np.ndarray, cfg: ModelConfig) -> PropensityFit:
-    """Newton iterations with step halving from the intercept-only optimum."""
-    n1 = ds.n_observed
-    if n1 == 0 or n1 == ds.n:
-        raise DegenerateDataError("all missingness indicators are equal")
-    z = _z_matrix(ds, mu_hat, cfg)
-    r = ds.r.astype(float)
-    p = z.shape[1]
+@np.errstate(all="ignore")
+def newton_batch(z: np.ndarray, r: np.ndarray, errs: ReplicateErrors):
+    """Newton iterations with step halving from the intercept-only optimum,
+    for b fits at once: z (b, n, p), r (b, n) float.  Each replicate follows
+    the rules of a single fit on its own and stops when its score is below
+    SCORE_TOL, when no halved step improves it, or when it fails.  Returns
+    theta (b, p), the log-likelihood (b,), the iteration count (b,) and the
+    final max |score| (b,)."""
+    b, n, p = z.shape
+    zt = np.ascontiguousarray(z.swapaxes(1, 2))
+    n1 = r.sum(axis=1)
+    errs.record(
+        np.flatnonzero((n1 == 0) | (n1 == n)),
+        lambda j: DegenerateDataError("all missingness indicators are equal"),
+    )
     # exact MLE of the intercept-only model: pi = n1/n
-    theta = np.zeros(p)
-    theta[0] = np.log((ds.n - n1) / n1)
-    ll = log_conditional_likelihood_z(r, z, theta)
-    converged = False
-    it = 0
-    gnorm = np.inf
+    theta = np.zeros((b, p))
+    theta[:, 0] = np.where(errs.ok, np.log((n - n1) / n1), 0.0)
+    ll = _loglik(r, zt, theta)
+    iterations = np.zeros(b, dtype=np.int64)
+    active = errs.ok.copy()
     for it in range(1, MAX_ITER + 1):
-        score, hessian = score_and_hessian_z(r, z, theta)
-        gnorm = float(np.max(np.abs(score)))
-        if gnorm < SCORE_TOL:
-            converged = True
+        rows = np.flatnonzero(active)
+        if rows.size == 0:
             break
-        try:
-            delta = np.linalg.solve(hessian, score)
-        except np.linalg.LinAlgError as exc:
-            raise SingularDesignError(
-                f"singular hessian in propensity fit: {exc}"
-            ) from exc
-        step = 1.0
-        accepted = False
-        for _ in range(MAX_HALVINGS):
-            cand = theta + step * delta
-            ll_new = log_conditional_likelihood_z(r, z, cand)
-            if ll_new > ll:
-                accepted = True
+        iterations[rows] = it
+        score, hessian = _score_hessian(r[rows], zt[rows], theta[rows])
+        gnorm = np.max(np.abs(score), axis=1)
+        moving = ~(gnorm < SCORE_TOL)
+        active[rows[~moving]] = False
+        rows, score, hessian, gnorm = rows[moving], score[moving], hessian[moving], gnorm[moving]
+        delta, singular = linalg_each(
+            np.linalg.solve, score.shape + (1,), hessian, score[..., None]
+        )
+        singular = {rows[k]: exc for k, exc in singular.items()}
+        errs.record(
+            list(singular),
+            lambda j: SingularDesignError(f"singular hessian in propensity fit: {singular[j]}"),
+        )
+        active[list(singular)] = False
+        keep = errs.ok[rows]
+        rows, delta, gnorm = rows[keep], delta[keep, :, 0], gnorm[keep]
+        zr, rr, base, ll0 = zt[rows], r[rows], theta[rows], ll[rows]
+        pending = np.ones(rows.size, dtype=bool)
+        for h in range(MAX_HALVINGS):
+            k = np.flatnonzero(pending)
+            if k.size == 0:
                 break
-            if step == 1.0 and ll_new >= ll - 1e-9 * (1.0 + abs(ll)):
+            cand = base[k] + 0.5**h * delta[k]
+            ll_new = _loglik(rr[k], zr[k], cand)
+            up = ll_new > ll0[k]
+            if h == 0:
                 # near the optimum the likelihood gain drops below float
                 # precision before the score does; accept the full Newton
                 # step whenever it still shrinks the score
-                s_new, _ = score_and_hessian_z(r, z, cand)
-                if np.max(np.abs(s_new)) < 0.5 * gnorm:
-                    accepted = True
-                    break
-            step *= 0.5
-        if not accepted:
-            break  # no further progress possible at float precision
-        theta, ll = cand, ll_new
-        if np.max(np.abs(theta)) > SEPARATION_BOUND:
-            raise SeparationError(
+                near = np.flatnonzero(~up & (ll_new >= ll0[k] - 1e-9 * (1.0 + np.abs(ll0[k]))))
+                if near.size:
+                    s_new = _score_hessian(rr[k[near]], zr[k[near]], cand[near], hessian=False)
+                    up[near] = np.max(np.abs(s_new), axis=1) < 0.5 * gnorm[k[near]]
+            won = k[up]
+            theta[rows[won]] = cand[up]
+            ll[rows[won]] = ll_new[up]
+            pending[won] = False
+        active[rows[pending]] = False  # no further progress possible at float precision
+        moved = rows[~pending]
+        separated = moved[np.max(np.abs(theta[moved]), axis=1) > SEPARATION_BOUND]
+        errs.record(
+            separated,
+            lambda j: SeparationError(
                 "complete separation suspected: |theta| exceeded "
                 f"{SEPARATION_BOUND} with the likelihood still increasing"
-            )
-    score, _ = score_and_hessian_z(r, z, theta)
-    gnorm = float(np.max(np.abs(score)))
-    return PropensityFit(
-        theta_hat=theta,
-        loglik=ll,
-        iterations=it,
-        converged=gnorm < SCORE_TOL,
-        gradient_norm=gnorm,
+            ),
+        )
+        active[separated] = False
+    gnorm = np.max(np.abs(_score_hessian(r, zt, theta, hessian=False)), axis=1)
+    return theta, ll, iterations, gnorm
+
+
+def fit_propensity(ds: Dataset, mu_hat: np.ndarray, cfg: ModelConfig) -> PropensityFit:
+    """Newton iterations with step halving from the intercept-only optimum:
+    newton_batch with b = 1."""
+    errs = ReplicateErrors(1)
+    theta, ll, iterations, gnorm = newton_batch(
+        _z_matrix(ds, mu_hat, cfg)[None], ds.r[None].astype(float), errs
     )
+    errs.raise_first()
+    return PropensityFit(
+        theta_hat=theta[0],
+        loglik=float(ll[0]),
+        iterations=int(iterations[0]),
+        converged=bool(gnorm[0] < SCORE_TOL),
+        gradient_norm=float(gnorm[0]),
+    )
+
+
+@np.errstate(all="ignore")
+def alpha0_batch(alpha: np.ndarray, m1: np.ndarray, errs: ReplicateErrors) -> np.ndarray:
+    """alpha0 = alpha - log M1(gamma) for b fits at once."""
+    errs.record(
+        np.flatnonzero(~(m1 > 0)),
+        lambda j: DegenerateDataError(f"M1(gamma) must be positive, got {m1[j]}"),
+    )
+    return alpha - np.log(m1)
 
 
 def recover_alpha0(fit: PropensityFit, m1_at_gamma: float) -> float:
     """alpha0 = alpha - log M1(gamma): undo the tilt-normalizer absorbed into
     the induced model's intercept."""
-    if not m1_at_gamma > 0:
-        raise DegenerateDataError(
-            f"M1(gamma) must be positive, got {m1_at_gamma}"
-        )
-    return float(fit.alpha_hat - np.log(m1_at_gamma))
+    errs = ReplicateErrors(1)
+    alpha0 = alpha0_batch(np.array([fit.alpha_hat]), np.array([m1_at_gamma]), errs)
+    errs.raise_first()
+    return float(alpha0[0])

@@ -17,7 +17,7 @@ from scipy.special import expit
 
 from .data import BasisTerm, Dataset, ModelConfig, select_x1
 from .errors import MnarError, UsageError
-from .fitting import fit_with_variance, point_estimate
+from .fitting import check_estimator_tag, fit_with_variance, point_estimate
 from .inference import wald_ci
 
 NCR_TAU_RANGE = (-10.0, 10.0)
@@ -355,9 +355,13 @@ def run_study(
     threads: int = 1,
 ) -> list[StudyRow]:
     """RB/MSE/NCR study.  RB and MSE are computed over non-NCR cases only;
-    failures of any kind count as NCR and never abort the study."""
+    failures of any kind count as NCR and never abort the study, but an
+    unknown method tag raises UsageError before any replication."""
     if reps < 1:
         raise UsageError("reps must be >= 1")
+    for method in methods:
+        if method != "oracle":
+            check_estimator_tag(method)
     if tau0 is None:
         tau0 = compute_truth(
             sc, truth_draws, seed=np.random.SeedSequence((int(seed), 1))

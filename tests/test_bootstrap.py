@@ -1,13 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
 from mnarmean.bootstrap import (
+    _child_rngs,
     bootstrap_percentile_ci,
     bootstrap_t_ci,
     t_interval_from_stats,
 )
-from mnarmean.errors import NonConvergenceError, UsageError
+from mnarmean.errors import MnarError, NonConvergenceError, UsageError
+from mnarmean.fitting import fit_with_variance, point_estimate
 from mnarmean.inference import wald_ci
 from mnarmean.simulate import example1, example2, generate_dataset
 
@@ -70,26 +74,149 @@ def test_b_floor(boot_data):
 def test_failure_tolerance_enforced(monkeypatch, interval):
     """If more than 5% of resamples fail, the whole CI must error out rather
     than silently report a quantile from the survivors."""
-    import mnarmean.fitting as ft
+    import mnarmean.bootstrap as bs
 
     sc = example1(alpha0=-1.7, delta=0.0)
     ds = generate_dataset(sc, 500, seed=124)
-    real_fit = ft.fit_tau_only
-    calls = {"k": 0}
+    real_fit = bs.fit_replicates
+    seen = {"k": 0}
 
-    def flaky_fit(dataset, cfg):
-        calls["k"] += 1
-        # first call is the original-sample fit; fail every third resample
-        if calls["k"] > 1 and calls["k"] % 3 == 0:
-            raise NonConvergenceError("injected resample failure")
-        return real_fit(dataset, cfg)
+    def flaky_fit(*args, **kwargs):
+        # fail every third resample of the chunk results
+        fits = real_fit(*args, **kwargs)
+        k = seen["k"] + 1 + np.arange(len(fits.tau))
+        seen["k"] += len(fits.tau)
+        fits.errors.record(
+            np.flatnonzero(k % 3 == 0),
+            lambda j: NonConvergenceError("injected resample failure"),
+        )
+        return fits
 
-    monkeypatch.setattr(ft, "fit_tau_only", flaky_fit)
+    monkeypatch.setattr(bs, "fit_replicates", flaky_fit)
     with pytest.raises(NonConvergenceError, match="resamples succeeded"):
         if interval == "t":
             bootstrap_t_ci(ds, sc.model_config(), B=100, seed=12)
         else:
             bootstrap_percentile_ci("proposed", ds, sc.model_config(), B=100, seed=12)
+
+
+def _per_resample_loop(ds, B, seed, statistic):
+    """The reference: each resample drawn from its child RNG, gathered with
+    take and fitted on its own; returns (statistics, failure counts)."""
+    values, failures = [], {}
+    for rng in _child_rngs(seed, B):
+        star = ds.take(rng.integers(0, ds.n, size=ds.n))
+        if star.n_observed in (0, star.n):
+            code = "DEGENERATE"
+        else:
+            try:
+                values.append(statistic(star))
+                continue
+            except MnarError as exc:
+                code = exc.code
+            except np.linalg.LinAlgError:
+                code = "SINGULAR"
+        failures[code] = failures.get(code, 0) + 1
+    return np.asarray(values), failures
+
+
+def _reference_t(ds, cfg, B, seed, variant="printed"):
+    tau_hat = fit_with_variance(ds, cfg, variant)[0].tau_hat
+
+    def t_star(star):
+        tau, prop, var = fit_with_variance(star, cfg, variant)
+        if not prop.converged or var.sigma2_tau <= 0:
+            raise NonConvergenceError("resample fit did not converge or sigma2* <= 0")
+        return np.sqrt(ds.n) * (tau.tau_hat - tau_hat) / np.sqrt(var.sigma2_tau)
+
+    return _per_resample_loop(ds, B, seed, t_star)
+
+
+@pytest.fixture(scope="module")
+def separating_data():
+    """n = 25 Example 1 data on which 6 of 199 resamples fail with SEPARATION
+    and 1 is DEGENERATE."""
+    sc = example1(alpha0=-1.7, delta=1.0)
+    return generate_dataset(sc, 25, seed=35), sc.model_config()
+
+
+@pytest.mark.parametrize("variant", ["printed", "derived"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_t_stats_match_per_resample_loop(variant, seed):
+    sc = example1(alpha0=-1.7, delta=1.0)
+    ds = generate_dataset(sc, 500, seed=40 + seed)
+    cfg = sc.model_config()
+    res = bootstrap_t_ci(ds, cfg, B=150, seed=seed, variant=variant)
+    ref, failures = _reference_t(ds, cfg, 150, seed, variant)
+    assert res.failure_counts == failures
+    assert res.n_successful == len(ref)
+    np.testing.assert_allclose(res.t_stats, ref, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("tag", ["proposed", "normal_plugin"])
+def test_percentile_taus_match_per_resample_loop(monkeypatch, tag):
+    import mnarmean.bootstrap as bs
+
+    sc = example1(alpha0=-1.7, delta=1.0)
+    ds = generate_dataset(sc, 400, seed=44)
+    cfg = sc.model_config()
+    taus = []
+    real_resample = bs._resample
+
+    def keep_taus(*args):
+        original, values, failures = real_resample(*args)
+        taus.append(values)
+        return original, values, failures
+
+    monkeypatch.setattr(bs, "_resample", keep_taus)
+    res = bootstrap_percentile_ci(tag, ds, cfg, B=150, seed=5)
+    ref, failures = _per_resample_loop(
+        ds, 150, 5, lambda star: point_estimate(tag, star, cfg)[0]
+    )
+    assert res.failure_counts == failures
+    np.testing.assert_allclose(taus[0], ref, rtol=0, atol=1e-10)
+
+
+def test_failure_counts_match_per_resample_loop_at_small_n(separating_data):
+    ds, cfg = separating_data
+    res = bootstrap_t_ci(ds, cfg, B=199, seed=35)
+    ref, failures = _reference_t(ds, cfg, 199, 35)
+    assert failures == {"SEPARATION": 6, "DEGENERATE": 1}
+    assert res.failure_counts == failures
+    np.testing.assert_allclose(res.t_stats, ref, rtol=0, atol=1e-10)
+
+
+def test_chunk_boundaries_do_not_change_statistics(monkeypatch, separating_data):
+    import mnarmean.bootstrap as bs
+
+    ds, cfg = separating_data
+    runs = []
+    for rows in (bs.CHUNK_ROWS, 25, 7 * 25, 10**9):
+        monkeypatch.setattr(bs, "CHUNK_ROWS", rows)
+        runs.append(bootstrap_t_ci(ds, cfg, B=199, seed=35))
+    for res in runs[1:]:
+        assert res.failure_counts == runs[0].failure_counts
+        np.testing.assert_array_equal(res.t_stats, runs[0].t_stats)
+        assert (res.ci.lower, res.ci.upper) == (runs[0].ci.lower, runs[0].ci.upper)
+
+
+def test_failed_resamples_raise_no_warning(separating_data):
+    """The arithmetic that fitting many resamples at once runs on the failed
+    ones must stay silent, including on all-missing and all-observed rows."""
+    from mnarmean.fitting import fit_replicates
+
+    ds, cfg = separating_data
+    missing = np.resize(np.flatnonzero(ds.r == 0), ds.n)
+    observed = np.resize(np.flatnonzero(ds.r == 1), ds.n)
+    idx = np.stack([missing, observed, np.arange(ds.n)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = bootstrap_t_ci(ds, cfg, B=199, seed=35)
+        pct = bootstrap_percentile_ci("proposed", ds, cfg, B=199, seed=35)
+        fits = fit_replicates(ds, cfg, idx)
+    assert res.failure_counts["SEPARATION"] > 0
+    assert pct.failure_counts["SEPARATION"] > 0
+    assert [exc and exc.code for exc in fits.errors.errors] == ["DEGENERATE", "DEGENERATE", None]
 
 
 def test_unknown_estimator_tag_is_usage_error(boot_data):
@@ -113,3 +240,37 @@ def test_percentile_ipw_with_one_covariate():
     res = bootstrap_percentile_ci("ipw", ds, sc.model_config(), B=99, seed=3)
     assert np.isfinite(res.ci.lower) and np.isfinite(res.ci.upper)
     assert res.ci.lower <= res.ci.upper
+
+
+def test_kernel_errors_match_single_fits():
+    """On data whose x2 column is zero but for three complete cases, some
+    resamples are rank-deficient and others separate; every resample gets
+    the error class and message of its own fit."""
+    from mnarmean.data import Dataset
+    from mnarmean.fitting import fit_replicates
+
+    sc = example1(alpha0=-1.7, delta=1.0)
+    cfg = sc.model_config()
+    seen = set()
+    for seed in range(4):
+        ds = generate_dataset(sc, 40, seed=seed)
+        x = ds.x.copy()
+        x[:, 1] = 0.0
+        x[np.flatnonzero(ds.r == 1)[:3], 1] = [1.0, -2.0, 0.5]
+        ds = Dataset(r=ds.r, y=ds.y, x=x)
+        idx = np.stack([rng.integers(0, ds.n, size=ds.n) for rng in _child_rngs(seed, 60)])
+        idx = idx[[0 < ds.r[rows].sum() < ds.n for rows in idx]]
+        fits = fit_replicates(ds, cfg, idx)
+        for j, rows in enumerate(idx):
+            try:
+                tau, prop, var = fit_with_variance(ds.take(rows), cfg)
+            except MnarError as exc:
+                got = fits.errors.errors[j]
+                assert (type(got), str(got)) == (type(exc), str(exc))
+                seen.add(exc.code)
+                continue
+            assert fits.errors.errors[j] is None
+            assert fits.converged[j] == prop.converged
+            assert abs(fits.tau[j] - tau.tau_hat) <= 1e-10 * max(1.0, abs(tau.tau_hat))
+            assert abs(fits.sigma2_tau[j] - var.sigma2_tau) <= 1e-10 * var.sigma2_tau
+    assert seen == {"SINGULAR", "SEPARATION"}

@@ -46,6 +46,18 @@ def test_fit_deterministic_bytes(cli_files):
             "--bootstrap", "100", "--diagnostics", "--out", str(out),
         ]) == 0
     assert a.read_bytes() == b.read_bytes()
+    obj = json.loads(a.read_text(encoding="utf-8"))
+    assert obj["schema_version"] == 1
+    counts = obj["bootstrap_failure_counts"]
+    assert isinstance(counts, dict)
+    assert obj["bootstrap_successful"] + sum(counts.values()) == 100
+
+
+def test_fit_without_bootstrap_has_no_failure_counts(cli_files):
+    root, data, cfg = cli_files
+    out = root / "plain.json"
+    assert main(["fit", "--data", data, "--model-config", cfg, "--out", str(out)]) == 0
+    assert "bootstrap_failure_counts" not in json.loads(out.read_text(encoding="utf-8"))
 
 
 def test_fit_missing_file_exits_2(cli_files, capsys):
@@ -89,6 +101,15 @@ def test_simulate_csv_and_sidecar(cli_files):
     first = out_csv.read_bytes()
     assert main(args) == 0
     assert out_csv.read_bytes() == first
+
+
+def test_simulate_unknown_method_usage_error(capsys):
+    rc = main([
+        "simulate", "--scenario", "example1", "--n", "100", "--reps", "2",
+        "--methods", "bogus", "--truth-draws", "1000",
+    ])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "USAGE"
 
 
 def test_simulate_reps_zero_usage_error(capsys):

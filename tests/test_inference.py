@@ -150,3 +150,16 @@ def test_wald_ci_width_and_validation():
         wald_ci(1.0, 4.0, 100, level=1.5)
     with pytest.raises(UsageError):
         wald_ci(1.0, -1.0, 100)
+
+
+def test_overflowing_tilt_is_overflow_error(fitted):
+    """B1 = mean r e^{gamma eps} past the float range makes sigma2_tau
+    non-finite, which is reported as OVERFLOW."""
+    import dataclasses
+
+    from mnarmean.errors import MgfOverflowError
+
+    _, _, _, res = fitted
+    pieces = dataclasses.replace(res.pieces, B=(1e200, 1e200, 1e200))
+    with pytest.raises(MgfOverflowError, match="sigma2_tau is not finite"):
+        estimate_sigma_tau(pieces, res.tau.eta_hat, res.propensity.gamma_hat, 1.0)

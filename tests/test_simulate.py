@@ -169,6 +169,18 @@ def test_ipw_runs_with_one_covariate():
     assert rows[0].ncr < rows[0].n_reps
 
 
+def test_run_study_rejects_unknown_method_before_replicating(monkeypatch):
+    import mnarmean.simulate as sim
+
+    def no_replications(*args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(sim, "_parallel_map", no_replications)
+    sc = example1(alpha0=-1.7, delta=0.0)
+    with pytest.raises(UsageError, match="unknown estimator tag 'propsed'"):
+        run_study(sc, 200, 3, ["proposed", "propsed"], seed=1, tau0=2.177)
+
+
 def test_run_study_thread_invariance():
     sc = example1(alpha0=-1.7, delta=0.0)
     kw = dict(n=300, reps=8, methods=["proposed"], seed=7, tau0=2.177)
