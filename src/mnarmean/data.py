@@ -49,12 +49,15 @@ class Dataset:
         if not np.isin(r, (0, 1)).all():
             raise ParseError("r must contain only 0/1 indicators")
         observed = r == 1
-        if np.isnan(y[observed]).any():
-            i = int(np.where(observed & np.isnan(y))[0][0])
-            raise ParseError(f"row {i}: r=1 but y is missing")
+        if not np.isfinite(y[observed]).all():
+            i = int(np.where(observed & ~np.isfinite(y))[0][0])
+            raise ParseError(f"row {i}: r=1 but y is missing or not finite ({y[i]})")
         if (~np.isnan(y[~observed])).any():
             i = int(np.where(~observed & ~np.isnan(y))[0][0])
             raise ParseError(f"row {i}: r=0 but y is present")
+        if not np.isfinite(x).all():
+            i, j = np.argwhere(~np.isfinite(x))[0]
+            raise ParseError(f"row {i}: covariate {j + 1} is not finite ({x[i, j]})")
 
     @property
     def n(self) -> int:
@@ -244,7 +247,8 @@ def parse_dataset(
 ) -> Dataset:
     """Read a UTF-8 CSV with a header row.  Missing y is an empty field; an
     explicit 0/1 r column is optional (r is derived from y presence when
-    absent).  x_cols defaults to every column other than y and r."""
+    absent).  x_cols defaults to every column other than y and r.  Short rows
+    and non-finite cells (nan, inf) are ParseErrors naming the row."""
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -276,8 +280,13 @@ def parse_dataset(
     r = np.zeros(n, dtype=np.int64)
     x = np.empty((n, len(xi)))
     for i, row in enumerate(rows):
+        if len(row) < len(header):
+            raise ParseError(
+                f"{path}: row {i + 1} has {len(row)} cells, the header has {len(header)}"
+            )
         cell = row[yi].strip()
-        if cell != "":
+        present = cell != ""
+        if present:
             try:
                 y[i] = float(cell)
             except ValueError:
@@ -291,12 +300,12 @@ def parse_dataset(
                     f"{path}: r cell must be 0 or 1 at row {i + 1}, got '{cell_r}'"
                 )
             r[i] = int(cell_r)
-            if r[i] == 1 and np.isnan(y[i]):
+            if r[i] == 1 and not present:
                 raise ParseError(f"{path}: row {i + 1} has r=1 but empty y")
-            if r[i] == 0 and not np.isnan(y[i]):
+            if r[i] == 0 and present:
                 raise ParseError(f"{path}: row {i + 1} has r=0 but nonempty y")
         else:
-            r[i] = 0 if np.isnan(y[i]) else 1
+            r[i] = present
         for j, ci in enumerate(xi):
             try:
                 x[i, j] = float(row[ci].strip())
@@ -305,6 +314,13 @@ def parse_dataset(
                     f"{path}: malformed numeric cell at row {i + 1}, "
                     f"column '{x_cols[j]}'"
                 )
+    cells = np.column_stack([np.where(r == 1, y, 0.0), x])
+    if not np.isfinite(cells).all():
+        i, j = np.argwhere(~np.isfinite(cells))[0]
+        raise ParseError(
+            f"{path}: non-finite numeric cell at row {i + 1}, "
+            f"column '{([y_col] + x_cols)[j]}'"
+        )
     return Dataset(r=r, y=y, x=x)
 
 

@@ -100,20 +100,18 @@ def profile_gamma(
     grid_spec: tuple[float, float, float],
     cfg: ModelConfig,
 ) -> GammaProfile:
-    """Evaluate M(gamma) = n^-1 sum r {e^{a0 + x1'b + g y} + 1} - 1 on a grid,
-    bracket every sign change, and refine each bracket by bisection."""
+    """Evaluate M(gamma) = n^-1 sum r {e^{a0 + x1'b + g y} + 1} - 1, the
+    intercept-only IPW moment at (a0, b, g), on a grid, bracket every sign
+    change, and refine each bracket by bisection."""
     lo, hi, step = grid_spec
     if not lo < hi or step <= 0:
         raise UsageError(f"bad grid ({lo}, {hi}, {step}): need lo < hi, step > 0")
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    obs = ds.r == 1
-    a = alpha0 + select_x1(ds.x, cfg.x1_columns)[obs] @ beta
-    y = ds.y[obs]
-    n = ds.n
+    alpha_beta = np.concatenate([[alpha0], beta])
+    ws = _MomentWorkspace(ds, [BasisTerm((0,) * ds.d)], cfg)
 
     def m_of(g: float) -> float:
-        with np.errstate(over="ignore"):
-            return float(np.sum(np.exp(a + g * y) + 1.0) / n - 1.0)
+        return float(ws.moments(np.append(alpha_beta, g))[0])
 
     grid = np.arange(lo, hi + step / 2, step)
     values = np.array([m_of(g) for g in grid])
@@ -147,64 +145,22 @@ def profile_gamma(
         grid=grid,
         values=values,
         roots=tuple(roots),
-        alpha_beta_fixed=np.concatenate([[alpha0], beta]),
+        alpha_beta_fixed=alpha_beta,
     )
 
 
-def _horvitz_thompson(
-    ws: _MomentWorkspace, theta: np.ndarray, hajek: bool
-) -> tuple[float, float]:
+def _horvitz_thompson(ws: _MomentWorkspace, theta: np.ndarray) -> tuple[float, float]:
     """(tau, largest weight) from the observed rows' weights 1 / pi(x, y; theta);
     missing rows carry weight 0.  Overflowing weights give a non-finite tau."""
     with np.errstate(over="ignore", invalid="ignore"):
         inv_pi = 1.0 + ws._weights(theta)
-        wy = inv_pi * ws.V_obs[:, -1]
-        tau = float(np.sum(wy) / (np.sum(inv_pi) if hajek else ws.n))
+        tau = float(np.sum(inv_pi * ws.V_obs[:, -1]) / ws.n)
     wmax = float(inv_pi.max()) if inv_pi.size else np.nan
     return tau, wmax
 
 
-def _newton_root(ws: _MomentWorkspace, theta0, max_iter=100):
-    """Damped Newton on the moment vector with a forward-difference Jacobian.
-    Returns (theta, moment_inf_norm, ok) where ok=False flags a singular or
-    non-finite Jacobian."""
-    moments = ws.moments
-    theta = np.asarray(theta0, dtype=float).copy()
-    m = moments(theta)
-    if not np.isfinite(m).all():
-        return theta, np.inf, False
-    ok = True
-    for _ in range(max_iter):
-        norm = np.max(np.abs(m))
-        if norm < MOMENT_TOL:
-            break
-        J = np.empty((len(m), len(theta)))
-        for j in range(len(theta)):
-            h = 1e-6 * (1.0 + abs(theta[j]))
-            tp = theta.copy()
-            tp[j] += h
-            J[:, j] = (moments(tp) - m) / h
-        if not np.isfinite(J).all():
-            ok = False
-            break
-        try:
-            delta = np.linalg.solve(J, -m)
-        except np.linalg.LinAlgError:
-            ok = False
-            break
-        step = 1.0
-        for _ in range(30):
-            cand = theta + step * delta
-            mc = moments(cand)
-            with np.errstate(over="ignore"):  # the norm of huge finite moments is inf
-                improved = np.isfinite(mc).all() and np.linalg.norm(mc) < np.linalg.norm(m)
-            if improved:
-                theta, m = cand, mc
-                break
-            step *= 0.5
-        if not improved:
-            break
-    return theta, float(np.max(np.abs(m))), ok
+def _moment_norm(m: np.ndarray) -> float:
+    return float(np.max(np.abs(m))) if np.isfinite(m).all() else np.inf
 
 
 def default_ipw_start(ds: Dataset, cfg: ModelConfig) -> np.ndarray:
@@ -214,36 +170,77 @@ def default_ipw_start(ds: Dataset, cfg: ModelConfig) -> np.ndarray:
     return start
 
 
-def solve_ipw(
-    ds: Dataset,
-    cfg: ModelConfig,
-    basis_g: list[BasisTerm],
-    start: np.ndarray | None = None,
-    hajek: bool = False,
-) -> IpwFit:
-    """Just-identified IPW solve with a 5-point gamma multistart; the root
-    with the smallest moment norm wins, and every located candidate is kept
-    on the fit report (the multiple-root hazard is a first-class output)."""
+@np.errstate(over="ignore", invalid="ignore")
+def _gmm_minimize(ws: _MomentWorkspace, theta0, W, max_iter=200):
+    """Damped Gauss-Newton on the weighted moment objective m' W m with the
+    analytic moment Jacobian.  Returns (theta, m, obj, converged, ok); ok is
+    False when it stopped on non-finite moments at the start, a non-finite
+    Jacobian or a singular system."""
+    moments = ws.moments
+    theta = np.asarray(theta0, dtype=float).copy()
+    m = moments(theta)
+    if not np.isfinite(m).all():
+        return theta, m, np.inf, False, False
+    obj = float(m @ W @ m)
+    for _ in range(max_iter):
+        J = ws.jacobian(theta)
+        if not np.isfinite(J).all():
+            return theta, m, obj, False, False
+        grad = 2.0 * J.T @ W @ m
+        if np.max(np.abs(grad)) < 1e-8 * (1.0 + obj):
+            return theta, m, obj, True, True
+        H = 2.0 * J.T @ W @ J
+        try:
+            delta = np.linalg.solve(H, -grad)
+        except np.linalg.LinAlgError:
+            return theta, m, obj, False, False
+        step = 1.0
+        for _ in range(30):
+            cand = theta + step * delta
+            mc = moments(cand)
+            if np.isfinite(mc).all():
+                oc = float(mc @ W @ mc)
+                if oc < obj:
+                    theta, m, obj = cand, mc, oc
+                    break
+            step *= 0.5
+        else:
+            return theta, m, obj, np.max(np.abs(grad)) < 1e-6 * (1.0 + obj), True
+    return theta, m, obj, False, True
+
+
+def _multistart(ws: _MomentWorkspace, start: np.ndarray, W) -> list:
+    """One ``_gmm_minimize`` run from ``start`` with gamma shifted by each
+    offset in GAMMA_LATTICE."""
+    runs = []
+    for dg in GAMMA_LATTICE:
+        theta0 = start.copy()
+        theta0[-1] += dg
+        runs.append(_gmm_minimize(ws, theta0, W))
+    return runs
+
+
+def solve_ipw(ds: Dataset, cfg: ModelConfig, basis_g: list[BasisTerm]) -> IpwFit:
+    """Just-identified IPW solve: Gauss-Newton on m'm from a 5-point gamma
+    multistart; the root with the smallest moment norm wins, and every
+    located candidate is kept on the fit report (the multiple-root hazard is
+    a first-class output)."""
     if len(basis_g) != cfg.p:
         raise UsageError(
             f"just-identified IPW needs {cfg.p} basis functions, got {len(basis_g)}"
         )
-    if start is None:
-        start = default_ipw_start(ds, cfg)
-    start = np.asarray(start, dtype=float)
     ws = _MomentWorkspace(ds, basis_g, cfg)
+    runs = _multistart(ws, default_ipw_start(ds, cfg), np.eye(cfg.p))
+    if not any(ok for *_, ok in runs):
+        raise NonConvergenceError(
+            "IPW moments non-finite, or their Jacobian non-finite or singular, at every start"
+        )
     candidates = []
-    any_ok = False
-    for dg in GAMMA_LATTICE:
-        theta0 = start.copy()
-        theta0[-1] += dg
-        theta, norm, ok = _newton_root(ws, theta0)
-        any_ok = any_ok or ok
+    for theta, m, *_ in runs:
+        norm = _moment_norm(m)
         candidates.append((theta, norm, norm < MOMENT_TOL))
-    if not any_ok:
-        raise NonConvergenceError("moment Jacobian singular at every start")
     theta, norm, converged = min(candidates, key=lambda c: c[1])
-    tau, wmax = _horvitz_thompson(ws, theta, hajek)
+    tau, wmax = _horvitz_thompson(ws, theta)
     return IpwFit(
         theta_hat=theta,
         converged=bool(converged),
@@ -264,62 +261,12 @@ def monomial_basis(d: int, degree: int) -> list[BasisTerm]:
     return terms
 
 
-def _gmm_minimize(ws: _MomentWorkspace, theta0, W, max_iter=200):
-    """Damped Gauss-Newton on the weighted moment objective m' W m."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _gmm_minimize_impl(ws, theta0, W, max_iter)
-
-
-def _gmm_minimize_impl(ws: _MomentWorkspace, theta0, W, max_iter):
-    moments = ws.moments
-    theta = np.asarray(theta0, dtype=float).copy()
-    m = moments(theta)
-    if not np.isfinite(m).all():
-        return theta, np.inf, False
-    obj = float(m @ W @ m)
-    converged = False
-    for _ in range(max_iter):
-        J = ws.jacobian(theta)
-        if not np.isfinite(J).all():
-            break
-        grad = 2.0 * J.T @ W @ m
-        if np.max(np.abs(grad)) < 1e-8 * (1.0 + obj):
-            converged = True
-            break
-        H = 2.0 * J.T @ W @ J
-        try:
-            delta = np.linalg.solve(H, -grad)
-        except np.linalg.LinAlgError:
-            break
-        step = 1.0
-        improved = False
-        for _ in range(30):
-            cand = theta + step * delta
-            mc = moments(cand)
-            if np.isfinite(mc).all():
-                oc = float(mc @ W @ mc)
-                if oc < obj:
-                    theta, m, obj = cand, mc, oc
-                    improved = True
-                    break
-            step *= 0.5
-        if not improved:
-            converged = np.max(np.abs(grad)) < 1e-6 * (1.0 + obj)
-            break
-    return theta, obj, converged
-
-
-def solve_gmm(
-    ds: Dataset,
-    cfg: ModelConfig,
-    degree_k: int,
-    seed=None,
-    hajek: bool = False,
-) -> IpwFit:
+def solve_gmm(ds: Dataset, cfg: ModelConfig, degree_k: int) -> IpwFit:
     """Two-step GMM over the monomial basis of total degree <= k: identity
     weight first, then the ridge-regularized inverse moment covariance.
     Non-convergence is recorded on the fit, not raised, so simulation
-    harnesses can count it."""
+    harnesses can count it.  The one candidate is the step-1 point with its
+    own (identity-weight) objective."""
     basis_g = monomial_basis(ds.d, degree_k)
     if len(basis_g) < cfg.p:
         raise UsageError(
@@ -328,19 +275,8 @@ def solve_gmm(
         )
     ws = _MomentWorkspace(ds, basis_g, cfg)
     start = default_ipw_start(ds, cfg)
-
-    def multistart(W):
-        best = None
-        for dg in GAMMA_LATTICE:
-            theta0 = start.copy()
-            theta0[-1] += dg
-            theta, obj, conv = _gmm_minimize(ws, theta0, W)
-            if best is None or obj < best[1]:
-                best = (theta, obj, conv)
-        return best
-
     W1 = np.eye(len(basis_g))
-    theta1, _, conv1 = multistart(W1)
+    theta1, _, obj1, conv1, _ = min(_multistart(ws, start, W1), key=lambda c: c[2])
 
     # empirical moment covariance at the step-1 point, ridge-regularized
     U = ws.per_row(theta1)
@@ -354,14 +290,13 @@ def solve_gmm(
         W2 = np.linalg.inv(omega + ridge * np.eye(len(basis_g)))
     except np.linalg.LinAlgError:
         W2 = W1
-    theta2, obj2, conv2 = multistart(W2)
-    tau, wmax = _horvitz_thompson(ws, theta2, hajek)
-    m = ws.moments(theta2)
+    theta2, m2, _, conv2, _ = min(_multistart(ws, start, W2), key=lambda c: c[2])
+    tau, wmax = _horvitz_thompson(ws, theta2)
     return IpwFit(
         theta_hat=theta2,
         converged=bool(conv1 and conv2),
         tau_ipw=tau,
         weights_max=wmax,
-        moment_norm=float(np.max(np.abs(m))) if np.isfinite(m).all() else np.inf,
-        candidates=((theta1, obj2, conv1),),
+        moment_norm=_moment_norm(m2),
+        candidates=((theta1, obj1, conv1),),
     )

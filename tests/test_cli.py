@@ -68,6 +68,46 @@ def test_fit_missing_file_exits_2(cli_files, capsys):
     assert err["error"] == "IO"
 
 
+def _csv_rows(path):
+    return [line.split(",") for line in open(path, encoding="utf-8").read().splitlines()]
+
+
+def _write_rows(path, rows):
+    path.write_text("\n".join(",".join(row) for row in rows) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def test_fit_short_row_is_parse_error(cli_files, capsys):
+    root, data, cfg = cli_files
+    rows = _csv_rows(data)
+    rows[5].pop()
+    rc = main(["fit", "--data", _write_rows(root / "short.csv", rows), "--model-config", cfg])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"] == "PARSE"
+    assert "row 5 " in err["message"]
+
+
+@pytest.mark.parametrize(
+    "column, value",
+    [("y", "nan"), ("y", "inf"), ("x1", "nan"), ("x2", "-inf")],
+    ids=["nan-y", "inf-y", "nan-x1", "inf-x2"],
+)
+def test_fit_non_finite_cell_is_parse_error(cli_files, capsys, column, value):
+    """nan in y is not a missing outcome, inf in y does not reach the linear
+    algebra, and a non-finite covariate is not a SINGULAR design."""
+    root, data, cfg = cli_files
+    rows = _csv_rows(data)
+    i = next(i for i in range(3, len(rows)) if rows[i][0] != "")  # an observed row
+    rows[i][rows[0].index(column)] = value
+    bad = _write_rows(root / f"nonfinite_{column}_{value}.csv", rows)
+    rc = main(["fit", "--data", bad, "--model-config", cfg])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"] == "PARSE"
+    assert f"row {i}, column '{column}'" in err["message"]
+
+
 def test_fit_unidentifiable_exits_2(cli_files, capsys):
     root, data, _ = cli_files
     bad = root / "bad_model.json"

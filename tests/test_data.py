@@ -26,6 +26,16 @@ def test_dataset_invariants_enforced():
         Dataset(r=np.empty(0, dtype=int), y=np.empty(0), x=np.empty((0, 1)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_observed_y_and_x(bad):
+    with pytest.raises(ParseError, match="row 1: r=1 but y is missing or not finite"):
+        Dataset(r=[1, 1], y=[1.0, bad], x=[[0.0], [0.0]])
+    with pytest.raises(ParseError, match="row 0: covariate 2 is not finite"):
+        Dataset(r=[1, 0], y=[1.0, np.nan], x=[[0.0, bad], [0.0, 0.0]])
+    with pytest.raises(ParseError, match="row 1: covariate 1 is not finite"):
+        Dataset(r=[1, 0], y=[1.0, np.nan], x=[[0.0], [bad]])  # also on missing-y rows
+
+
 def test_parse_derives_r_from_y_presence(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("y,x1\n1.0,0.1\n,0.2\n2.0,0.3\n", encoding="utf-8")

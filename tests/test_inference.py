@@ -163,3 +163,62 @@ def test_overflowing_tilt_is_overflow_error(fitted):
     pieces = dataclasses.replace(res.pieces, B=(1e200, 1e200, 1e200))
     with pytest.raises(MgfOverflowError, match="sigma2_tau is not finite"):
         estimate_sigma_tau(pieces, res.tau.eta_hat, res.propensity.gamma_hat, 1.0)
+
+
+def _stacked_psi_mean(phi, ds, cfg, M):
+    """Mean over rows of the stacked estimating functions
+    psi = (r - eta, M r eps, z (r - pi), mu - mu_bar, r e^{g eps} - B1,
+    r eps e^{g eps} - B2) at phi = (eta, xi, theta, mu_bar, B1, B2)."""
+    q, p = cfg.q, cfg.p
+    eta, xi, theta = phi[0], phi[1 : 1 + q], phi[1 + q : 1 + q + p]
+    mu_bar, B1, B2 = phi[-3:]
+    r = ds.r.astype(float)
+    mu = M @ xi
+    eps = np.where(ds.r == 1, ds.y - mu, 0.0)
+    z = np.column_stack([np.ones(ds.n), ds.x[:, [c - 1 for c in cfg.x1_columns]], mu])
+    pi = 1.0 / (1.0 + np.exp(z @ theta))
+    e = r * np.exp(theta[-1] * eps)
+    psi = np.column_stack(
+        [r - eta, M * (r * eps)[:, None], z * (r - pi)[:, None], mu - mu_bar, e - B1, eps * e - B2]
+    )
+    return psi.mean(axis=0)
+
+
+@pytest.mark.parametrize(
+    "scenario, delta, n, seed",
+    [("example1", 0.0, 2000, 515), ("example1", 1.0, 2000, 516),
+     ("example2", 0.0, 2000, 517), ("example1", 0.0, 500, 518)],
+)
+def test_derived_variance_is_generic_m_estimation_sandwich(scenario, delta, n, seed):
+    """The ``derived`` sigma2_tau equals the generic M-estimation sandwich
+    (Stefanski & Boos 2002): A is the central-difference Jacobian of the
+    mean stacked psi at phi_hat, D = A^-T grad tau and sigma2 = D' V D."""
+    from mnarmean import simulate
+
+    sc = getattr(simulate, scenario)(delta=delta)
+    ds = simulate.generate_dataset(sc, n, seed)
+    cfg = sc.model_config()
+    res = fit_mean_response(ds, cfg, variant="derived")
+    B1, B2, _ = res.pieces.B
+    eta = res.tau.eta_hat
+    phi = np.concatenate(
+        [[eta], res.outcome.xi_hat, res.propensity.theta_hat, [res.mu_hat.mean(), B1, B2]]
+    )
+    assert np.abs(_stacked_psi_mean(phi, ds, cfg, res.design.M)).max() < 1e-8
+    A = np.empty((phi.size, phi.size))
+    for j in range(phi.size):
+        h = 1e-5 * max(1.0, abs(phi[j]))
+        step = np.zeros(phi.size)
+        step[j] = h
+        A[:, j] = (
+            _stacked_psi_mean(phi + step, ds, cfg, res.design.M)
+            - _stacked_psi_mean(phi - step, ds, cfg, res.design.M)
+        ) / (2 * h)
+    grad_tau = np.zeros(phi.size)
+    grad_tau[0] = -B2 / B1
+    grad_tau[-3:] = [1.0, -(1.0 - eta) * B2 / B1**2, (1.0 - eta) / B1]
+    D = np.linalg.solve(A.T, grad_tau)
+    sigma2 = D @ res.pieces.V @ D
+    assert res.variance.sigma2_tau == pytest.approx(sigma2, rel=1e-8)
+    # the A-matrices are minus the Jacobian, so D_hat is -D
+    assert np.allclose(res.variance.D, -D, rtol=0, atol=1e-7 * np.abs(D).max())

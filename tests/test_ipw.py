@@ -102,10 +102,8 @@ def test_horvitz_thompson_all_observed_is_plain_mean():
 
     ws = _MomentWorkspace(ds, [BasisTerm((0, 0))], CFG2)
     # pi = 1 exactly in the limit theta -> (-inf, 0, 0); use a deep intercept
-    tau, wmax = _horvitz_thompson(ws, np.array([-500.0, 0.0, 0.0]), hajek=False)
+    tau, wmax = _horvitz_thompson(ws, np.array([-500.0, 0.0, 0.0]))
     assert tau == pytest.approx(y.mean(), rel=1e-12)
-    tau_h, _ = _horvitz_thompson(ws, np.array([-500.0, 0.0, 0.0]), hajek=True)
-    assert tau_h == pytest.approx(y.mean(), rel=1e-12)
 
 
 def test_monomial_basis_counts():
@@ -133,6 +131,42 @@ def test_gmm_two_step_objective_ordering():
     omega = Uc.T @ Uc / ds.n
     W2 = np.linalg.inv(omega + 1e-8 * np.trace(omega) * np.eye(len(basis)))
     assert m2 @ W2 @ m2 <= m1 @ W2 @ m1 + 1e-12
+
+
+def test_gmm_candidate_reports_step1_objective():
+    """The step-1 candidate carries its own objective m(theta1)' m(theta1)
+    at the identity weight, not the step-2 objective."""
+    from mnarmean.ipw import _MomentWorkspace
+
+    ds = _mar_big(n=5000, seed=35)
+    fit = solve_gmm(ds, CFG2, degree_k=2)
+    theta1, obj1, _ = fit.candidates[0]
+    m1 = _MomentWorkspace(ds, monomial_basis(2, 2), CFG2).moments(theta1)
+    assert obj1 == pytest.approx(m1 @ m1, rel=1e-12, abs=1e-300)
+
+
+def test_ipw_candidates_are_every_start():
+    """One candidate per multistart point, each with its moment norm and
+    the converged flag max|m| < MOMENT_TOL; the fit reports the smallest."""
+    ds = _mar_big(n=5000, seed=36)
+    fit = solve_ipw(ds, CFG2, monomial_basis(2, 1))
+    assert len(fit.candidates) == 5
+    for theta, norm, conv in fit.candidates:
+        m = ipw_moments(ds, theta, monomial_basis(2, 1), CFG2)
+        assert norm == np.max(np.abs(m))
+        assert conv == (norm < MOMENT_TOL)
+    assert fit.moment_norm == min(c[1] for c in fit.candidates)
+
+
+def test_profile_is_intercept_moment():
+    """M(gamma) on the grid is the intercept-only IPW moment at (a0, b, gamma)."""
+    ds = _mar_big(n=2000)
+    prof = profile_gamma(ds, -0.5, np.array([0.7]), (-1.0, 1.0, 0.25), CFG2)
+    for g, v in zip(prof.grid, prof.values):
+        m = ipw_moments(ds, np.array([-0.5, 0.7, g]), [BasisTerm((0, 0))], CFG2)
+        assert v == m[0]
+    direct = (np.sum(np.exp(-0.5 + 0.7 * ds.x[ds.r == 1, 0] + 0.5 * ds.y[ds.r == 1]) + 1)) / ds.n - 1
+    assert prof.values[6] == pytest.approx(direct, rel=1e-12)
 
 
 def test_gmm_needs_enough_basis_functions():
