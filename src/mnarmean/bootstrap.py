@@ -146,7 +146,8 @@ def bootstrap_percentile_ci(
     """Percentile CI for any of the point estimators of ``point_estimate``
     (proposed, normal_plugin, ipw, gmm<k>).  ``proposed`` and
     ``normal_plugin`` resamples are fitted together by ``fit_replicates``;
-    the others one at a time."""
+    the others one at a time.  A resample whose fit does not converge is a
+    NONCONVERGENCE failure."""
 
     def fit(sample):
         return point_estimate(estimator_tag, sample, cfg)[0]
@@ -156,16 +157,21 @@ def bootstrap_percentile_ci(
             fits = fit_replicates(
                 ds, cfg, idx, variance=False, normal_plugin=estimator_tag == "normal_plugin"
             )
-            taus, errs = fits.tau, fits.errors
+            taus, converged, errs = fits.tau, fits.converged, fits.errors
         else:
-            taus, errs = np.empty(len(idx)), ReplicateErrors(len(idx))
+            taus, converged = np.empty(len(idx)), np.ones(len(idx), dtype=bool)
+            errs = ReplicateErrors(len(idx))
             for j, rows in enumerate(idx):
                 try:
-                    taus[j] = fit(ds.take(rows))
+                    taus[j], _, converged[j] = point_estimate(estimator_tag, ds.take(rows), cfg)
                 except MnarError as exc:
                     errs.record([j], lambda _: exc)
                 except np.linalg.LinAlgError as exc:
                     errs.record([j], lambda _: SingularDesignError(str(exc)))
+        errs.record(
+            np.flatnonzero(~converged),
+            lambda j: NonConvergenceError("resample fit did not converge"),
+        )
         errs.record(
             np.flatnonzero(~np.isfinite(taus)),
             lambda j: MgfOverflowError("non-finite resample estimate"),

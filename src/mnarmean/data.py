@@ -4,8 +4,10 @@ CSV ingestion, and the identifiability check for the propensity parameters."""
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass, field
+from itertools import chain, compress
 
 import numpy as np
 
@@ -239,6 +241,49 @@ def check_identifiability(
     return IdentifiabilityReport(identifiable=identifiable, condition_number=cond)
 
 
+def _split_cells(text: str):
+    """Split CSV text into cells the way ``csv.reader`` does.  Returns the
+    header, the cell count of each data row and the data rows' cells in row
+    order, or None for an empty file.  Text with a quote character goes
+    through ``csv.reader``.  Other text is split at line ends (LF, CRLF or a
+    lone CR, as for ``csv.reader``) and commas; a row's cell count is then
+    its commas plus one, or zero for a blank line.  Past the first row whose
+    count differs from the header's, the cells no longer line up with rows."""
+    if '"' in text:
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        if not rows:
+            return None
+        counts = np.fromiter(map(len, rows), np.int64, len(rows))
+        return rows[0], counts[1:], list(chain.from_iterable(rows[1:]))
+    if not text:
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if not text.endswith("\n"):
+        text += "\n"
+    raw = np.frombuffer(text.encode(), np.uint8)
+    ends = np.flatnonzero(raw == ord("\n"))
+    commas_before = np.searchsorted(np.flatnonzero(raw == ord(",")), ends)
+    del raw
+    counts = np.diff(commas_before, prepend=0) + (np.diff(ends, prepend=-1) > 1)
+    cells = text.replace("\n", ",").split(",")
+    return cells[: counts[0]], counts[1:], cells[counts[0] :]
+
+
+def _to_floats(cells: list[str]):
+    """(``float`` of every cell as one array, None), or (None, the index of
+    the first cell that ``float`` rejects)."""
+    try:
+        return np.fromiter(map(float, cells), np.float64, len(cells)), None
+    except ValueError:
+        for i, cell in enumerate(cells):
+            try:
+                float(cell)
+            except ValueError:
+                return None, i
+        raise
+
+
 def parse_dataset(
     path,
     y_col: str = "y",
@@ -247,19 +292,19 @@ def parse_dataset(
 ) -> Dataset:
     """Read a UTF-8 CSV with a header row.  Missing y is an empty field; an
     explicit 0/1 r column is optional (r is derived from y presence when
-    absent).  x_cols defaults to every column other than y and r.  Short rows
-    and non-finite cells (nan, inf) are ParseErrors naming the row."""
+    absent).  x_cols defaults to every column other than y and r.  Quoting
+    follows ``csv.reader``.  A row whose cell count differs from the
+    header's and a non-finite cell (nan, inf) are ParseErrors naming the
+    row; of several malformed rows, the first is reported."""
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DataIOError(f"cannot open {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file, expected a header row")
-        rows = list(reader)
+        split = _split_cells(fh.read())
+    if split is None:
+        raise ParseError(f"{path}: empty file, expected a header row")
+    header, counts, tokens = split
 
     def col_index(name):
         try:
@@ -273,47 +318,60 @@ def parse_dataset(
         x_cols = [c for c in header if c != y_col and c != r_col]
     xi = [col_index(c) for c in x_cols]
 
-    n = len(rows)
+    n, k = len(counts), len(header)
     if n == 0:
         raise ParseError(f"{path}: no data rows")
-    y = np.full(n, np.nan)
-    r = np.zeros(n, dtype=np.int64)
-    x = np.empty((n, len(xi)))
-    for i, row in enumerate(rows):
-        if len(row) < len(header):
-            raise ParseError(
-                f"{path}: row {i + 1} has {len(row)} cells, the header has {len(header)}"
-            )
-        cell = row[yi].strip()
-        present = cell != ""
-        if present:
-            try:
-                y[i] = float(cell)
-            except ValueError:
-                raise ParseError(
-                    f"{path}: malformed numeric cell at row {i + 1}, column '{y_col}'"
-                )
-        if ri is not None:
-            cell_r = row[ri].strip()
-            if cell_r not in ("0", "1"):
-                raise ParseError(
-                    f"{path}: r cell must be 0 or 1 at row {i + 1}, got '{cell_r}'"
-                )
-            r[i] = int(cell_r)
-            if r[i] == 1 and not present:
-                raise ParseError(f"{path}: row {i + 1} has r=1 but empty y")
-            if r[i] == 0 and present:
-                raise ParseError(f"{path}: row {i + 1} has r=0 but nonempty y")
+    # rows are read up to the first one whose cell count differs from the
+    # header's; a defect in an earlier row is reported before that count
+    wrong = np.flatnonzero(counts != k)
+    m = int(wrong[0]) if wrong.size else n
+
+    def column(j):
+        return tokens[j : m * k : k]
+
+    def malformed(i, name):
+        return f"{path}: malformed numeric cell at row {i + 1}, column '{name}'"
+
+    # (row, message) of the first failure of each check, listed in the order
+    # the checks apply within a row
+    defects = []
+    ycells = column(yi)
+    present = np.fromiter(map(bool, map(str.strip, ycells)), bool, m)
+    y = np.full(m, np.nan)
+    values, bad = _to_floats(list(compress(ycells, present)))
+    if bad is None:
+        y[present] = values
+    else:
+        i = int(np.flatnonzero(present)[bad])
+        defects.append((i, malformed(i, y_col)))
+    if ri is None:
+        r = present.astype(np.int64)
+    else:
+        rcells = list(map(str.strip, column(ri)))
+        one = np.fromiter(map("1".__eq__, rcells), bool, m)
+        valid = one | np.fromiter(map("0".__eq__, rcells), bool, m)
+        for fails, message in (
+            (~valid, "r cell must be 0 or 1 at row {row}, got '{cell}'"),
+            (valid & one & ~present, "row {row} has r=1 but empty y"),
+            (valid & ~one & present, "row {row} has r=0 but nonempty y"),
+        ):
+            failed = np.flatnonzero(fails)
+            if failed.size:
+                i = int(failed[0])
+                defects.append((i, f"{path}: " + message.format(row=i + 1, cell=rcells[i])))
+        r = one.astype(np.int64)
+    x = np.empty((m, len(xi)))
+    for j, ci in enumerate(xi):
+        values, bad = _to_floats(column(ci))
+        if bad is None:
+            x[:, j] = values
         else:
-            r[i] = present
-        for j, ci in enumerate(xi):
-            try:
-                x[i, j] = float(row[ci].strip())
-            except ValueError:
-                raise ParseError(
-                    f"{path}: malformed numeric cell at row {i + 1}, "
-                    f"column '{x_cols[j]}'"
-                )
+            defects.append((bad, malformed(bad, x_cols[j])))
+    del tokens, ycells
+    if m < n:
+        defects.append((m, f"{path}: row {m + 1} has {counts[m]} cells, the header has {k}"))
+    if defects:
+        raise ParseError(min(defects, key=lambda defect: defect[0])[1])
     cells = np.column_stack([np.where(r == 1, y, 0.0), x])
     if not np.isfinite(cells).all():
         i, j = np.argwhere(~np.isfinite(cells))[0]
@@ -334,9 +392,15 @@ def write_dataset(
         fh = open(path, "w", newline="", encoding="utf-8")
     except OSError as exc:
         raise DataIOError(f"cannot write {path}: {exc}") from exc
+    # as csv.writer does, a row whose one cell is empty is written as "",
+    # since a blank line is a row with no cells
+    missing = '""' if ds.d == 0 else ""
+    rows = [
+        ",".join([missing if ri == 0 else repr(yi)] + list(map(repr, xi)))
+        for ri, yi, xi in zip(ds.r.tolist(), ds.y.tolist(), ds.x.tolist())
+    ]
     with fh:
-        writer = csv.writer(fh)
-        writer.writerow([y_col] + list(x_cols))
-        for i in range(ds.n):
-            ycell = "" if ds.r[i] == 0 else repr(float(ds.y[i]))
-            writer.writerow([ycell] + [repr(float(v)) for v in ds.x[i]])
+        # csv.writer quotes a column name that needs it; the rows hold only
+        # repr'd floats and keep its CRLF line end
+        csv.writer(fh).writerow([y_col] + list(x_cols))
+        fh.write("\r\n".join(rows) + "\r\n")

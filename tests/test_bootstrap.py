@@ -170,11 +170,27 @@ def test_percentile_taus_match_per_resample_loop(monkeypatch, tag):
 
     monkeypatch.setattr(bs, "_resample", keep_taus)
     res = bootstrap_percentile_ci(tag, ds, cfg, B=150, seed=5)
-    ref, failures = _per_resample_loop(
-        ds, 150, 5, lambda star: point_estimate(tag, star, cfg)[0]
-    )
+    ref, failures = _per_resample_loop(ds, 150, 5, lambda star: _converged_tau(tag, star, cfg))
     assert res.failure_counts == failures
     np.testing.assert_allclose(taus[0], ref, rtol=0, atol=1e-10)
+
+
+def _converged_tau(tag, star, cfg):
+    tau, _, converged = point_estimate(tag, star, cfg)
+    if not converged:
+        raise NonConvergenceError("resample fit did not converge")
+    return tau
+
+
+def test_percentile_counts_non_converged_resamples_as_failures():
+    """On section 2 data IPW has a root on 1 of these 99 resamples; the
+    stall points of the other fits are failures, not estimates."""
+    from mnarmean.simulate import section2_design
+
+    sc = section2_design()
+    ds = generate_dataset(sc, 2000, 0)
+    with pytest.raises(NonConvergenceError, match=r"only 1/99 .*'NONCONVERGENCE': 98"):
+        bootstrap_percentile_ci("ipw", ds, sc.model_config(), B=99, seed=1)
 
 
 def test_failure_counts_match_per_resample_loop_at_small_n(separating_data):

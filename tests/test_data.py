@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,9 +69,236 @@ def test_write_then_parse_roundtrip(tmp_path):
     write_dataset(ds, p)
     back = parse_dataset(p)
     assert np.array_equal(back.r, ds.r)
-    assert np.allclose(back.x, ds.x, atol=1e-12)
-    obs = ds.r == 1
-    assert np.allclose(back.y[obs], ds.y[obs], atol=1e-12)
+    assert np.array_equal(back.x, ds.x)
+    assert np.array_equal(back.y, ds.y, equal_nan=True)
+
+
+def test_write_then_parse_roundtrip_without_covariates(tmp_path):
+    ds = Dataset(r=[1, 0, 1], y=[1.5, np.nan, -2.0], x=np.empty((3, 0)))
+    p = tmp_path / "y_only.csv"
+    write_dataset(ds, p)
+    assert p.read_bytes() == b'y\r\n1.5\r\n""\r\n-2.0\r\n'
+    back = parse_dataset(p)
+    assert np.array_equal(back.r, ds.r) and back.x.shape == (3, 0)
+
+
+def _reference_parse(path, y_col="y", x_cols=None, r_col=None):
+    """The reference reader: csv.reader and one pass over the rows, checking
+    and converting cell by cell; the first row with a defect is reported."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError(f"{path}: empty file, expected a header row")
+        rows = list(reader)
+
+    def col_index(name):
+        try:
+            return header.index(name)
+        except ValueError:
+            raise ParseError(f"{path}: column '{name}' not found in header")
+
+    yi = col_index(y_col)
+    ri = col_index(r_col) if r_col is not None else None
+    if x_cols is None:
+        x_cols = [c for c in header if c != y_col and c != r_col]
+    xi = [col_index(c) for c in x_cols]
+    n = len(rows)
+    if n == 0:
+        raise ParseError(f"{path}: no data rows")
+    y = np.full(n, np.nan)
+    r = np.zeros(n, dtype=np.int64)
+    x = np.empty((n, len(xi)))
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ParseError(
+                f"{path}: row {i + 1} has {len(row)} cells, the header has {len(header)}"
+            )
+        cell = row[yi].strip()
+        present = cell != ""
+        if present:
+            try:
+                y[i] = float(cell)
+            except ValueError:
+                raise ParseError(
+                    f"{path}: malformed numeric cell at row {i + 1}, column '{y_col}'"
+                )
+        if ri is not None:
+            cell_r = row[ri].strip()
+            if cell_r not in ("0", "1"):
+                raise ParseError(
+                    f"{path}: r cell must be 0 or 1 at row {i + 1}, got '{cell_r}'"
+                )
+            r[i] = int(cell_r)
+            if r[i] == 1 and not present:
+                raise ParseError(f"{path}: row {i + 1} has r=1 but empty y")
+            if r[i] == 0 and present:
+                raise ParseError(f"{path}: row {i + 1} has r=0 but nonempty y")
+        else:
+            r[i] = present
+        for j, ci in enumerate(xi):
+            try:
+                x[i, j] = float(row[ci].strip())
+            except ValueError:
+                raise ParseError(
+                    f"{path}: malformed numeric cell at row {i + 1}, "
+                    f"column '{x_cols[j]}'"
+                )
+    cells = np.column_stack([np.where(r == 1, y, 0.0), x])
+    if not np.isfinite(cells).all():
+        i, j = np.argwhere(~np.isfinite(cells))[0]
+        raise ParseError(
+            f"{path}: non-finite numeric cell at row {i + 1}, "
+            f"column '{([y_col] + x_cols)[j]}'"
+        )
+    return Dataset(r=r, y=y, x=x)
+
+
+def _assert_same_parse(path, **kwargs):
+    """parse_dataset and the reference raise the same ParseError text or
+    return the same r, y and x, bit for bit."""
+    try:
+        want = _reference_parse(path, **kwargs)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            parse_dataset(path, **kwargs)
+        assert str(got.value) == str(exc)
+        return None
+    got = parse_dataset(path, **kwargs)
+    assert got.r.dtype == want.r.dtype and np.array_equal(got.r, want.r)
+    for a, b in ((got.y, want.y), (got.x, want.x)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    return got
+
+
+#: what a defect puts in a cell; "0" and "1" in the r column may contradict y
+CELL_DEFECTS = ["abc", "nan", "-inf", "", " ", "2", "0", "1"]
+ROW_DEFECTS = ["drop cell", "extra cell", "blank line"]
+
+
+@st.composite
+def csv_files(draw):
+    """(file text, parse_dataset keywords) for a CSV with y, one to three
+    covariates and maybe an r column in any order; cells may be padded or
+    quoted, lines end in LF, CRLF or CR, and up to two defects are placed."""
+    n_x = draw(st.integers(1, 3))
+    x_names = [f"x{j + 1}" for j in range(n_x)]
+    with_r = draw(st.booleans())
+    header = draw(st.permutations(["y"] + x_names + (["r"] if with_r else [])))
+    floats = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        observed = draw(st.booleans())
+        cells = {name: draw(floats) for name in x_names}
+        cells["y"] = draw(floats) if observed else ""
+        cells["r"] = "1" if observed else "0"
+        rows.append([cells[name] for name in header])
+    for defect, i, j in draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(CELL_DEFECTS + ROW_DEFECTS),
+                st.integers(0, len(rows) - 1),
+                st.integers(0, len(header) - 1),
+            ),
+            max_size=2,
+        )
+    ):
+        row = rows[i]
+        if defect == "drop cell":
+            del row[-1:]
+        elif defect == "extra cell":
+            row.append("1.5")
+        elif defect == "blank line":
+            row.clear()
+        elif j < len(row):
+            row[j] = defect
+    quoting = draw(st.booleans())
+    pad = st.sampled_from(["", "", " ", "  ", "\t", "\xa0"])
+
+    def render(cell, padded=True):
+        if padded:
+            cell = draw(pad) + cell + draw(pad)
+        return f'"{cell}"' if quoting and draw(st.booleans()) else cell
+
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [",".join(render(name, padded=False) for name in header)]
+    lines += [",".join(map(render, row)) for row in rows]
+    text = newline.join(lines) + (newline if draw(st.booleans()) else "")
+    kwargs = {}
+    if with_r and draw(st.booleans()):
+        kwargs["r_col"] = "r"
+    if draw(st.booleans()):
+        kwargs["x_cols"] = draw(st.lists(st.sampled_from(x_names), min_size=1, unique=True))
+    return text, kwargs
+
+
+@given(csv_files())
+@settings(max_examples=400, deadline=None)
+def test_parse_matches_reference_reader(tmp_path_factory, case):
+    text, kwargs = case
+    path = tmp_path_factory.mktemp("prop") / "d.csv"
+    path.write_bytes(text.encode("utf-8"))
+    _assert_same_parse(path, **kwargs)
+
+
+def test_parse_matches_reference_reader_at_100k_rows(tmp_path):
+    """The benchmark's file size, written with CRLF line ends and with LF."""
+    from mnarmean.simulate import example2, generate_dataset
+
+    ds = generate_dataset(example2(alpha0=-2.7, delta=1.0), 100_000, seed=0)
+    crlf, lf = tmp_path / "crlf.csv", tmp_path / "lf.csv"
+    write_dataset(ds, crlf)
+    lf.write_bytes(crlf.read_bytes().replace(b"\r\n", b"\n"))
+    for path in (crlf, lf):
+        got = _assert_same_parse(path)
+        assert np.array_equal(got.y, ds.y, equal_nan=True) and np.array_equal(got.x, ds.x)
+
+
+@pytest.mark.parametrize(
+    "rows, kwargs, message",
+    [
+        (["abc,0.1", "1.0,0.2", "xyz,0.3"], {}, "malformed numeric cell at row 2, column 'y'"),
+        (["1.0,oops", "1.0,0.2", "2.0,?"], {}, "malformed numeric cell at row 2, column 'x1'"),
+        (["1.0", "1.0,0.2", "2.0"], {}, "row 2 has 1 cells, the header has 2"),
+        (["1.0,0.1,9", "1.0,0.2", ",0.3,"], {}, "row 2 has 3 cells, the header has 2"),
+        (["", "1.0,0.2", ""], {}, "row 2 has 0 cells, the header has 2"),
+        (["nan,0.1", "1.0,0.2", "nan,0.3"], {}, "non-finite numeric cell at row 2, column 'y'"),
+        (["1.0,inf", "1.0,0.2", "2.0,-inf"], {}, "non-finite numeric cell at row 2, column 'x1'"),
+        (
+            ["1.0,0.1,2", "1.0,0.2,1", "2.0,0.3,x"],
+            {"r_col": "r"},
+            "r cell must be 0 or 1 at row 2, got '2'",
+        ),
+        ([",0.1,1", "1.0,0.2,1", ",0.3,1"], {"r_col": "r"}, "row 2 has r=1 but empty y"),
+        (["1.0,0.1,0", "1.0,0.2,1", "2.0,0.3,0"], {"r_col": "r"}, "row 2 has r=0 but nonempty y"),
+        # an earlier row's defect wins over a check that runs first within a row
+        (["1.0,oops", "1.0", "abc,0.3"], {}, "malformed numeric cell at row 2, column 'x1'"),
+        (["1.0,0.1,0", "abc,0.2,1"], {"r_col": "r"}, "row 2 has r=0 but nonempty y"),
+        # within a row, y is checked before r and r before x
+        (["abc,oops,2"], {"r_col": "r"}, "malformed numeric cell at row 2, column 'y'"),
+        (["1.0,oops,2"], {"r_col": "r"}, "r cell must be 0 or 1 at row 2, got '2'"),
+        # a non-finite cell is reported only when no row has another defect
+        (["1.0,inf", "1.0,0.2", "abc,0.3"], {}, "malformed numeric cell at row 4, column 'y'"),
+    ],
+)
+def test_parse_reports_the_earliest_defect(tmp_path, rows, kwargs, message):
+    lines = ["y,x1,r", "0.5,0.0,1"] if "r_col" in kwargs else ["y,x1", "0.5,0.0"]
+    p = tmp_path / "two_defects.csv"
+    p.write_text("\n".join(lines + rows) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        parse_dataset(p, **kwargs)
+    assert str(exc.value) == f"{p}: {message}"
+    _assert_same_parse(p, **kwargs)
+
+
+@pytest.mark.parametrize("text", ["y,x1\n", "y,x1", "y,x1\r\n"])
+def test_header_only_file_has_no_data_rows(tmp_path, text):
+    p = tmp_path / "header.csv"
+    p.write_bytes(text.encode("utf-8"))
+    with pytest.raises(ParseError) as exc:
+        parse_dataset(p)
+    assert str(exc.value) == f"{p}: no data rows"
 
 
 @given(
