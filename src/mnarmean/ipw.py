@@ -174,14 +174,16 @@ def default_ipw_start(ds: Dataset, cfg: ModelConfig) -> np.ndarray:
 def _gmm_minimize(ws: _MomentWorkspace, theta0, W, max_iter=200):
     """Damped Gauss-Newton on the weighted moment objective m' W m with the
     analytic moment Jacobian.  Returns (theta, m, obj, converged, ok); ok is
-    False when it stopped on non-finite moments at the start, a non-finite
-    Jacobian or a singular system."""
+    False when it stopped on non-finite moments or objective at the start, a
+    non-finite Jacobian or a singular system.  A step is taken only to finite
+    moments with a finite, lower objective: with a step-2 weight m' W m can
+    overflow to -inf."""
     moments = ws.moments
     theta = np.asarray(theta0, dtype=float).copy()
     m = moments(theta)
-    if not np.isfinite(m).all():
+    obj = float(m @ W @ m) if np.isfinite(m).all() else np.inf
+    if not np.isfinite(obj):
         return theta, m, np.inf, False, False
-    obj = float(m @ W @ m)
     for _ in range(max_iter):
         J = ws.jacobian(theta)
         if not np.isfinite(J).all():
@@ -200,7 +202,7 @@ def _gmm_minimize(ws: _MomentWorkspace, theta0, W, max_iter=200):
             mc = moments(cand)
             if np.isfinite(mc).all():
                 oc = float(mc @ W @ mc)
-                if oc < obj:
+                if np.isfinite(oc) and oc < obj:
                     theta, m, obj = cand, mc, oc
                     break
             step *= 0.5
