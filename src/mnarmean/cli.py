@@ -129,6 +129,7 @@ def cmd_simulate(args) -> int:
         "seed": args.seed,
         "tau0": truth["tau0"],
         "pr_missing": truth["pr_missing"],
+        "ncr_reasons": {row.method: row.ncr_reasons for row in rows},
     }
     if args.coverage:
         cov = run_coverage_study(

@@ -80,7 +80,9 @@ def linalg_each(fn, shape, A, *args):
     function over stacked operands.  LAPACK rejects the whole stack when one
     member is singular; the members are then taken one at a time, and the
     singular ones come back as NaN.  Returns the result and {member index:
-    its LinAlgError}."""
+    its LinAlgError}; the errors carry no traceback, which would keep the
+    caller's frames and arrays alive until the cyclic garbage collector
+    runs."""
     try:
         return fn(A, *args), {}
     except np.linalg.LinAlgError:
@@ -90,5 +92,5 @@ def linalg_each(fn, shape, A, *args):
         try:
             out[k] = fn(A[k], *(a[k] for a in args))
         except np.linalg.LinAlgError as exc:
-            errors[k] = exc
+            errors[k] = exc.with_traceback(None)
     return out, errors

@@ -15,11 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import BasisTerm, Dataset, ModelConfig, select_x1
-from .errors import NonConvergenceError, UsageError
+from .errors import MnarError, NonConvergenceError, UsageError, linalg_each
 
 MOMENT_TOL = 1e-8
 BISECT_TOL = 1e-10
 GAMMA_LATTICE = (-2.0, -1.0, 0.0, 1.0, 2.0)
+#: the line-search steps tried after a rejected full step: 1/2, ..., 2^-29
+HALVINGS = 0.5 ** np.arange(1, 30)
 
 
 @dataclass(frozen=True)
@@ -50,35 +52,43 @@ def _g_matrix(ds: Dataset, basis_g: list[BasisTerm]) -> np.ndarray:
 
 class _MomentWorkspace:
     """Precomputed observed-row pieces: the r=0 rows contribute the constant
-    -sum_miss g_j(x), so only observed-row exponentials vary with theta."""
+    -sum_miss g_j(x), so only observed-row exponentials vary with theta.
+    ``VT`` holds the observed rows' v = (1, x1, y) as columns."""
 
     def __init__(self, ds: Dataset, basis_g: list[BasisTerm], cfg: ModelConfig):
         G = _g_matrix(ds, basis_g)
         obs = ds.r == 1
         self.n = ds.n
         self.obs = obs
-        self.G = G
         self.G_obs = G[obs]
-        self.miss_sum = G[~obs].sum(axis=0)
-        self.V_obs = np.column_stack(
-            [np.ones(int(obs.sum())), select_x1(ds.x, cfg.x1_columns)[obs], ds.y[obs]]
+        self.G_miss = G[~obs]
+        self.miss_sum = self.G_miss.sum(axis=0)
+        self.VT = np.vstack(
+            [np.ones(int(obs.sum())), select_x1(ds.x, cfg.x1_columns)[obs].T, ds.y[obs]]
         )
 
     def _weights(self, theta: np.ndarray) -> np.ndarray:
-        return np.exp(self.V_obs @ theta)
+        return np.exp(theta @ self.VT)
 
     def moments(self, theta: np.ndarray) -> np.ndarray:
+        """m(theta) for one theta (p,) or a stack of them (k, p)."""
         with np.errstate(over="ignore", invalid="ignore"):
             return (self._weights(theta) @ self.G_obs - self.miss_sum) / self.n
 
-    def jacobian(self, theta: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            e = self._weights(theta)
-            return self.G_obs.T @ (self.V_obs * e[:, None]) / self.n
+    def moments_and_jacobians(self, thetas: np.ndarray):
+        """m (k, L) and the transposed Jacobians dm/dtheta (k, p, L) at k
+        thetas (k, p) from one product: v's first entry is 1, so the sums
+        sum_obs e_i v_ij g_l(x_i) at j = 0 are the moment sums.  Callers
+        silence the overflow warnings, as _gauss_newton does."""
+        k, p = thetas.shape
+        EV = self._weights(thetas)[:, None, :] * self.VT
+        S = (EV.reshape(k * p, -1) @ self.G_obs).reshape(k, p, -1)
+        return (S[:, 0] - self.miss_sum) / self.n, S / self.n
 
     def per_row(self, theta: np.ndarray) -> np.ndarray:
         """Row-wise moment contributions (for the GMM moment covariance)."""
-        U = -self.G.astype(float).copy()
+        U = np.empty((self.n, self.G_obs.shape[1]))
+        U[~self.obs] = -self.G_miss
         with np.errstate(over="ignore", invalid="ignore"):
             U[self.obs] = self.G_obs * self._weights(theta)[:, None]
         return U
@@ -154,7 +164,7 @@ def _horvitz_thompson(ws: _MomentWorkspace, theta: np.ndarray) -> tuple[float, f
     missing rows carry weight 0.  Overflowing weights give a non-finite tau."""
     with np.errstate(over="ignore", invalid="ignore"):
         inv_pi = 1.0 + ws._weights(theta)
-        tau = float(np.sum(inv_pi * ws.V_obs[:, -1]) / ws.n)
+        tau = float(np.sum(inv_pi * ws.VT[-1]) / ws.n)
     wmax = float(inv_pi.max()) if inv_pi.size else np.nan
     return tau, wmax
 
@@ -170,87 +180,160 @@ def default_ipw_start(ds: Dataset, cfg: ModelConfig) -> np.ndarray:
     return start
 
 
+def _objective(m: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """m' W m over the last axis of m, for stacks of m and W that broadcast."""
+    return (m[..., None, :] @ W @ m[..., :, None])[..., 0, 0]
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def _gmm_minimize(ws: _MomentWorkspace, theta0, W, max_iter=200):
+def _gauss_newton(wss: list, theta0: np.ndarray, W: np.ndarray, max_iter: int = 200):
     """Damped Gauss-Newton on the weighted moment objective m' W m with the
-    analytic moment Jacobian.  Returns (theta, m, obj, converged, ok); ok is
-    False when it stopped on non-finite moments or objective at the start, a
-    non-finite Jacobian or a singular system.  A step is taken only to finite
-    moments with a finite, lower objective: with a step-2 weight m' W m can
-    overflow to -inf."""
-    moments = ws.moments
-    theta = np.asarray(theta0, dtype=float).copy()
-    m = moments(theta)
-    obj = float(m @ W @ m) if np.isfinite(m).all() else np.inf
-    if not np.isfinite(obj):
-        return theta, m, np.inf, False, False
+    analytic moment Jacobian, for a stack of members: member (d, k) starts
+    from theta0[d, k] on the dataset of workspace wss[d], with weight W[d].
+    Each member runs on its own until one of these holds:
+
+    - its moments or objective are non-finite at the start, or its Jacobian
+      is non-finite or its Gauss-Newton system singular (ok = False);
+    - max |gradient| < 1e-8 (1 + obj) (converged);
+    - no step of 1, 1/2, ..., 2^-29 reaches finite moments with a finite,
+      lower objective (converged if max |gradient| < 1e-6 (1 + obj));
+    - max_iter iterations have run (not converged).
+
+    The state of the running members is kept in compact arrays, and the
+    moments run per dataset over its running members, so a member's numbers
+    do not depend on the other datasets of the stack, and a dataset whose
+    members have all stopped costs nothing.  Returns (theta, obj,
+    converged, ok) over the (dataset, member) axes."""
+    D, K, p = theta0.shape
+    th = np.array(theta0, dtype=float).reshape(D * K, p)
+    m, JT = zip(*(ws.moments_and_jacobians(th[d * K : (d + 1) * K]) for d, ws in enumerate(wss)))
+    m, JT, Wr = np.concatenate(m), np.concatenate(JT), np.repeat(W, K, axis=0)
+    obj = _objective(m, Wr)
+    ok = np.isfinite(m).all(axis=-1) & np.isfinite(obj)
+    theta_out, obj_out = th.copy(), np.where(ok, obj, np.inf)
+    converged = np.zeros(D * K, dtype=bool)
+    run = np.flatnonzero(ok)  # the running members, in dataset order
+    th, m, obj, JT, Wr = th[run], m[run], obj[run], JT[run], Wr[run]
+
+    def segments():
+        """(workspace, rows of its running members) for each dataset."""
+        starts = np.searchsorted(run, np.arange(D + 1) * K)
+        return [(wss[d], slice(starts[d], starts[d + 1])) for d in np.flatnonzero(np.diff(starts))]
+
+    def stop(done, conv, fine):
+        """Write out the members flagged in ``done`` and drop them."""
+        nonlocal run, th, m, obj, JT, Wr, gmax, delta, datasets
+        i = run[done]
+        theta_out[i], obj_out[i], converged[i], ok[i] = th[done], obj[done], conv, fine
+        keep = ~done
+        run, th, m, obj, JT, Wr = run[keep], th[keep], m[keep], obj[keep], JT[keep], Wr[keep]
+        gmax, delta, datasets = gmax[keep], delta[keep], segments()
+
+    datasets = segments()
+
     for _ in range(max_iter):
-        J = ws.jacobian(theta)
-        if not np.isfinite(J).all():
-            return theta, m, obj, False, False
-        grad = 2.0 * J.T @ W @ m
-        if np.max(np.abs(grad)) < 1e-8 * (1.0 + obj):
-            return theta, m, obj, True, True
-        H = 2.0 * J.T @ W @ J
-        try:
-            delta = np.linalg.solve(H, -grad)
-        except np.linalg.LinAlgError:
-            return theta, m, obj, False, False
-        step = 1.0
-        for _ in range(30):
-            cand = theta + step * delta
-            mc = moments(cand)
-            if np.isfinite(mc).all():
-                oc = float(mc @ W @ mc)
-                if np.isfinite(oc) and oc < obj:
-                    theta, m, obj = cand, mc, oc
-                    break
-            step *= 0.5
-        else:
-            return theta, m, obj, np.max(np.abs(grad)) < 1e-6 * (1.0 + obj), True
-    return theta, m, obj, False, True
+        grad = 2.0 * (JT @ (Wr @ m[..., None]))
+        gmax = np.abs(grad).max(axis=(1, 2))
+        delta = -grad
+        bad = ~np.isfinite(JT).all(axis=(1, 2))
+        done = bad | (gmax < 1e-8 * (1.0 + obj))
+        if done.any():
+            stop(done, ~bad[done], ~bad[done])
+        if not run.size:
+            break
+        delta, singular = linalg_each(
+            np.linalg.solve, delta.shape, 2.0 * (JT @ Wr @ JT.swapaxes(1, 2)), delta
+        )
+        if singular:
+            stop(np.isin(np.arange(run.size), list(singular)), False, False)
+        cand = th + delta[..., 0]
+        mc = np.empty_like(m)
+        JTc = np.empty_like(JT)
+        for ws, rows in datasets:
+            mc[rows], JTc[rows] = ws.moments_and_jacobians(cand[rows])
+        oc = _objective(mc, Wr)
+        take = np.isfinite(mc).all(axis=-1) & np.isfinite(oc) & (oc < obj)
+        th[take], m[take], obj[take], JT[take] = cand[take], mc[take], oc[take], JTc[take]
+        if take.all():
+            continue
+        stalled = ~take
+        for j in np.flatnonzero(stalled):
+            ws = wss[run[j] // K]
+            cands = th[j] + HALVINGS[:, None] * delta[j, :, 0]
+            mh = ws.moments(cands)
+            oh = _objective(mh, Wr[j])
+            good = np.flatnonzero(np.isfinite(mh).all(axis=-1) & np.isfinite(oh) & (oh < obj[j]))
+            if good.size:
+                i = good[0]
+                th[j], m[j], obj[j] = cands[i], mh[i], oh[i]
+                JT[j] = ws.moments_and_jacobians(cands[i : i + 1])[1][0]
+                stalled[j] = False
+        if stalled.any():
+            stop(stalled, gmax[stalled] < 1e-6 * (1.0 + obj[stalled]), True)
+    theta_out[run], obj_out[run] = th, obj
+    return (
+        theta_out.reshape(D, K, p), obj_out.reshape(D, K), converged.reshape(D, K), ok.reshape(D, K)
+    )
 
 
-def _multistart(ws: _MomentWorkspace, start: np.ndarray, W) -> list:
-    """One ``_gmm_minimize`` run from ``start`` with gamma shifted by each
-    offset in GAMMA_LATTICE."""
-    runs = []
-    for dg in GAMMA_LATTICE:
-        theta0 = start.copy()
-        theta0[-1] += dg
-        runs.append(_gmm_minimize(ws, theta0, W))
-    return runs
+def _lattice_starts(datasets: list, cfg: ModelConfig) -> np.ndarray:
+    """(datasets, 5, p): each dataset's default start with gamma shifted by
+    each offset in GAMMA_LATTICE."""
+    theta0 = np.repeat(
+        np.stack([default_ipw_start(ds, cfg) for ds in datasets])[:, None], len(GAMMA_LATTICE), 1
+    )
+    theta0[..., -1] += GAMMA_LATTICE
+    return theta0
+
+
+def _one(fits: list):
+    """The one-dataset case of a *_stack solver: its fit, or raise its error."""
+    if isinstance(fits[0], MnarError):
+        raise fits[0]
+    return fits[0]
+
+
+def solve_ipw_stack(datasets: list, cfg: ModelConfig, basis_g: list[BasisTerm]) -> list:
+    """solve_ipw on each dataset, with every start of every dataset in one
+    Gauss-Newton stack; entry j is dataset j's IpwFit, or the
+    NonConvergenceError its solve_ipw raises."""
+    if len(basis_g) != cfg.p:
+        raise UsageError(
+            f"just-identified IPW needs {cfg.p} basis functions, got {len(basis_g)}"
+        )
+    wss = [_MomentWorkspace(ds, basis_g, cfg) for ds in datasets]
+    eye = np.broadcast_to(np.eye(cfg.p), (len(datasets), cfg.p, cfg.p))
+    thetas, _, _, oks = _gauss_newton(wss, _lattice_starts(datasets, cfg), eye)
+    fits = []
+    for ws, runs, ok in zip(wss, thetas, oks):
+        if not ok.any():
+            fits.append(NonConvergenceError(
+                "IPW moments non-finite, or their Jacobian non-finite or singular, at every start"
+            ))
+            continue
+        candidates = []
+        for theta in runs:
+            norm = _moment_norm(ws.moments(theta))
+            candidates.append((theta, norm, norm < MOMENT_TOL))
+        theta, norm, converged = min(candidates, key=lambda c: c[1])
+        tau, wmax = _horvitz_thompson(ws, theta)
+        fits.append(IpwFit(
+            theta_hat=theta,
+            converged=bool(converged),
+            tau_ipw=tau,
+            weights_max=wmax,
+            moment_norm=norm,
+            candidates=tuple(candidates),
+        ))
+    return fits
 
 
 def solve_ipw(ds: Dataset, cfg: ModelConfig, basis_g: list[BasisTerm]) -> IpwFit:
     """Just-identified IPW solve: Gauss-Newton on m'm from a 5-point gamma
     multistart; the root with the smallest moment norm wins, and every
     located candidate is kept on the fit report (the multiple-root hazard is
-    a first-class output)."""
-    if len(basis_g) != cfg.p:
-        raise UsageError(
-            f"just-identified IPW needs {cfg.p} basis functions, got {len(basis_g)}"
-        )
-    ws = _MomentWorkspace(ds, basis_g, cfg)
-    runs = _multistart(ws, default_ipw_start(ds, cfg), np.eye(cfg.p))
-    if not any(ok for *_, ok in runs):
-        raise NonConvergenceError(
-            "IPW moments non-finite, or their Jacobian non-finite or singular, at every start"
-        )
-    candidates = []
-    for theta, m, *_ in runs:
-        norm = _moment_norm(m)
-        candidates.append((theta, norm, norm < MOMENT_TOL))
-    theta, norm, converged = min(candidates, key=lambda c: c[1])
-    tau, wmax = _horvitz_thompson(ws, theta)
-    return IpwFit(
-        theta_hat=theta,
-        converged=bool(converged),
-        tau_ipw=tau,
-        weights_max=wmax,
-        moment_norm=norm,
-        candidates=tuple(candidates),
-    )
+    a first-class output).  The one-dataset case of solve_ipw_stack."""
+    return _one(solve_ipw_stack([ds], cfg, basis_g))
 
 
 def monomial_basis(d: int, degree: int) -> list[BasisTerm]:
@@ -263,42 +346,60 @@ def monomial_basis(d: int, degree: int) -> list[BasisTerm]:
     return terms
 
 
-def solve_gmm(ds: Dataset, cfg: ModelConfig, degree_k: int) -> IpwFit:
-    """Two-step GMM over the monomial basis of total degree <= k: identity
-    weight first, then the ridge-regularized inverse moment covariance.
-    Non-convergence is recorded on the fit, not raised, so simulation
-    harnesses can count it.  The one candidate is the step-1 point with its
-    own (identity-weight) objective."""
-    basis_g = monomial_basis(ds.d, degree_k)
-    if len(basis_g) < cfg.p:
-        raise UsageError(
-            f"degree-{degree_k} basis has {len(basis_g)} functions, "
-            f"fewer than dim(theta) = {cfg.p}"
-        )
-    ws = _MomentWorkspace(ds, basis_g, cfg)
-    start = default_ipw_start(ds, cfg)
-    W1 = np.eye(len(basis_g))
-    theta1, _, obj1, conv1, _ = min(_multistart(ws, start, W1), key=lambda c: c[2])
-
-    # empirical moment covariance at the step-1 point, ridge-regularized
+def _step2_weight(ws: _MomentWorkspace, theta1: np.ndarray) -> np.ndarray:
+    """The ridge-regularized inverse of the empirical moment covariance at
+    the step-1 point; the identity when that is non-finite or singular."""
+    W1 = np.eye(ws.G_obs.shape[1])
     U = ws.per_row(theta1)
     if not np.isfinite(U).all():
         omega = W1
     else:
         Uc = U - U.mean(axis=0)
-        omega = Uc.T @ Uc / ds.n
+        omega = Uc.T @ Uc / ws.n
     ridge = 1e-8 * max(np.trace(omega), 1e-300)
     try:
-        W2 = np.linalg.inv(omega + ridge * np.eye(len(basis_g)))
+        return np.linalg.inv(omega + ridge * W1)
     except np.linalg.LinAlgError:
-        W2 = W1
-    theta2, m2, _, conv2, _ = min(_multistart(ws, start, W2), key=lambda c: c[2])
-    tau, wmax = _horvitz_thompson(ws, theta2)
-    return IpwFit(
-        theta_hat=theta2,
-        converged=bool(conv1 and conv2),
-        tau_ipw=tau,
-        weights_max=wmax,
-        moment_norm=_moment_norm(m2),
-        candidates=((theta1, obj1, conv1),),
-    )
+        return W1
+
+
+def solve_gmm_stack(datasets: list, cfg: ModelConfig, degree_k: int) -> list:
+    """solve_gmm on each of several datasets with the same covariates, with
+    every start of every dataset in one Gauss-Newton stack per step; entry j
+    is dataset j's IpwFit."""
+    basis_g = monomial_basis(datasets[0].d, degree_k)
+    if len(basis_g) < cfg.p:
+        raise UsageError(
+            f"degree-{degree_k} basis has {len(basis_g)} functions, "
+            f"fewer than dim(theta) = {cfg.p}"
+        )
+    wss = [_MomentWorkspace(ds, basis_g, cfg) for ds in datasets]
+    theta0 = _lattice_starts(datasets, cfg)
+    W1 = np.broadcast_to(np.eye(len(basis_g)), (len(datasets), len(basis_g), len(basis_g)))
+    thetas, objs, convs, _ = _gauss_newton(wss, theta0, W1)
+    best = objs.argmin(axis=1)
+    step1 = [(thetas[d, k], float(objs[d, k]), bool(convs[d, k])) for d, k in enumerate(best)]
+    W2 = np.stack([_step2_weight(ws, theta1) for ws, (theta1, _, _) in zip(wss, step1)])
+    thetas, objs, convs, _ = _gauss_newton(wss, theta0, W2)
+    fits = []
+    for d, k in enumerate(objs.argmin(axis=1)):
+        tau, wmax = _horvitz_thompson(wss[d], thetas[d, k])
+        fits.append(IpwFit(
+            theta_hat=thetas[d, k],
+            converged=bool(step1[d][2] and convs[d, k]),
+            tau_ipw=tau,
+            weights_max=wmax,
+            moment_norm=_moment_norm(wss[d].moments(thetas[d, k])),
+            candidates=(step1[d],),
+        ))
+    return fits
+
+
+def solve_gmm(ds: Dataset, cfg: ModelConfig, degree_k: int) -> IpwFit:
+    """Two-step GMM over the monomial basis of total degree <= k: identity
+    weight first, then the ridge-regularized inverse moment covariance.
+    Non-convergence is recorded on the fit, not raised, so simulation
+    harnesses can count it.  The one candidate is the step-1 point with its
+    own (identity-weight) objective.  The one-dataset case of
+    solve_gmm_stack."""
+    return _one(solve_gmm_stack([ds], cfg, degree_k))

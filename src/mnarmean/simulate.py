@@ -9,6 +9,9 @@ the outcome-dependent missingness model both hold exactly."""
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -16,8 +19,9 @@ import numpy as np
 from scipy.special import expit
 
 from .data import BasisTerm, Dataset, ModelConfig, select_x1
+from .bootstrap import CHUNK_ROWS, bootstrap_t_ci
 from .errors import MnarError, UsageError
-from .fitting import check_estimator_tag, fit_with_variance, point_estimate
+from .fitting import check_estimator_tag, fit_with_variance, point_estimate, point_estimates
 from .inference import wald_ci
 
 NCR_TAU_RANGE = (-10.0, 10.0)
@@ -300,21 +304,32 @@ def generate_dataset(sc: Scenario, n: int, seed, debug_retain: bool = False) -> 
 
 @dataclass(frozen=True)
 class StudyRow:
+    """One method's study result.  ``ncr_reasons`` counts the NCR cases by
+    reason: the error code of a fit that raised, else ``NONCONVERGED``,
+    ``TAU_RANGE`` (tau_hat non-finite or out of range) or ``GAMMA_RANGE``,
+    the first that applies; its counts sum to ``ncr``."""
+
     method: str
     rb_percent: float
     mse_x100: float
     ncr: int
     n_reps: int
+    ncr_reasons: dict = field(default_factory=dict, hash=False)
 
 
-def _is_ncr(tau_hat: float, gamma_hat: float, converged: bool) -> bool:
-    return (
-        not converged
-        or not np.isfinite(tau_hat)
-        or not np.isfinite(gamma_hat)
-        or not NCR_TAU_RANGE[0] <= tau_hat <= NCR_TAU_RANGE[1]
-        or not NCR_GAMMA_RANGE[0] <= gamma_hat <= NCR_GAMMA_RANGE[1]
-    )
+def _ncr_reason(got) -> str | None:
+    """Why a replication's result counts as NCR, or None when it does not;
+    ``got`` is (tau_hat, gamma_hat, converged) or the MnarError raised."""
+    if isinstance(got, MnarError):
+        return got.code
+    tau_hat, gamma_hat, converged = got
+    if not converged:
+        return "NONCONVERGED"
+    if not (np.isfinite(tau_hat) and NCR_TAU_RANGE[0] <= tau_hat <= NCR_TAU_RANGE[1]):
+        return "TAU_RANGE"
+    if not (np.isfinite(gamma_hat) and NCR_GAMMA_RANGE[0] <= gamma_hat <= NCR_GAMMA_RANGE[1]):
+        return "GAMMA_RANGE"
+    return None
 
 
 def run_method(method: str, ds: Dataset, sc: Scenario, tau0: float):
@@ -325,23 +340,49 @@ def run_method(method: str, ds: Dataset, sc: Scenario, tau0: float):
     return point_estimate(method, ds, sc.model_config())
 
 
-def _study_rep(args):
-    sc, n, methods, tau0, child_seed = args
-    ds = generate_dataset(sc, n, child_seed)
-    out = {}
-    for method in methods:
+def _study_chunk(args):
+    """One chunk of replications: {method: one result per replication},
+    each (tau_hat, gamma_hat, converged) or the MnarError raised.  Each
+    method fits the chunk's datasets with ``point_estimates``."""
+    sc, n, methods, tau0, child_seeds = args
+    datasets = [generate_dataset(sc, n, s) for s in child_seeds]
+    return {
+        method: [(tau0, sc.gamma, True)] * len(datasets)
+        if method == "oracle"
+        else point_estimates(method, datasets, sc.model_config())
+        for method in methods
+    }
+
+
+def _chunks(children: list, n: int) -> list:
+    """Consecutive replications of about CHUNK_ROWS rows in all, so the
+    chunks depend on n and the replication index only."""
+    size = max(1, CHUNK_ROWS // n)
+    return [children[i : i + size] for i in range(0, len(children), size)]
+
+
+def _single_blas_thread():
+    """Pool initializer: hold numpy's bundled OpenBLAS to one thread in the
+    worker, so that the workers do not oversubscribe the cores.  Does
+    nothing when that library or its symbol is missing."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*.so*")):
         try:
-            out[method] = run_method(method, ds, sc, tau0)
-        except (MnarError, np.linalg.LinAlgError):
-            out[method] = None
-    return out
+            set_threads = ctypes.CDLL(path).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
 
 
 def _parallel_map(fn, items, threads: int):
+    """[fn(item) for item in items], in ``threads`` worker processes when
+    that is above 1; each task takes about a quarter of a worker's share."""
     if threads <= 1:
         return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items, chunksize=8))
+    chunksize = max(1, len(items) // (4 * threads))
+    with ProcessPoolExecutor(max_workers=threads, initializer=_single_blas_thread) as pool:
+        return list(pool.map(fn, items, chunksize=chunksize))
 
 
 def run_study(
@@ -367,23 +408,22 @@ def run_study(
             sc, truth_draws, seed=np.random.SeedSequence((int(seed), 1))
         )["tau0"]
     children = np.random.SeedSequence(int(seed)).spawn(reps)
-    results = _parallel_map(
-        _study_rep, [(sc, n, tuple(methods), tau0, s) for s in children], threads
+    chunks = _parallel_map(
+        _study_chunk,
+        [(sc, n, tuple(methods), tau0, c) for c in _chunks(children, n)],
+        threads,
     )
     rows = []
     for method in methods:
         taus = []
-        ncr = 0
-        for res in results:
-            got = res[method]
-            if got is None:
-                ncr += 1
-                continue
-            tau_hat, gamma_hat, converged = got
-            if _is_ncr(tau_hat, gamma_hat, converged):
-                ncr += 1
+        reasons: dict = {}
+        for got in (got for chunk in chunks for got in chunk[method]):
+            reason = _ncr_reason(got)
+            if reason is None:
+                taus.append(got[0])
             else:
-                taus.append(tau_hat)
+                reasons[reason] = reasons.get(reason, 0) + 1
+        ncr = sum(reasons.values())
         taus = np.asarray(taus)
         if taus.size:
             rb = 100.0 * float(np.mean(taus - tau0)) / tau0
@@ -392,15 +432,16 @@ def run_study(
             rb = np.nan
             mse = np.nan
         rows.append(
-            StudyRow(method=method, rb_percent=rb, mse_x100=mse, ncr=ncr, n_reps=reps)
+            StudyRow(
+                method=method, rb_percent=rb, mse_x100=mse, ncr=ncr, n_reps=reps,
+                ncr_reasons=reasons,
+            )
         )
     return rows
 
 
 def _coverage_rep(args):
     sc, n, ci_method, level, boot_b, variant, child_seed = args
-    from .bootstrap import bootstrap_t_ci  # local import to avoid a cycle
-
     ds = generate_dataset(sc, n, child_seed)
     cfg = sc.model_config()
     try:

@@ -143,6 +143,24 @@ def test_simulate_csv_and_sidecar(cli_files):
     assert out_csv.read_bytes() == first
 
 
+def test_simulate_sidecar_reports_ncr_reasons(cli_files):
+    root, _, _ = cli_files
+    out_csv = root / "study.csv"
+    sidecar = root / "truth.json"
+    assert main([
+        "simulate", "--scenario", "section2", "--n", "500", "--reps", "6",
+        "--methods", "proposed,ipw,gmm3", "--seed", "2", "--truth-draws", "100000",
+        "--out-csv", str(out_csv), "--truth-json", str(sidecar),
+    ]) == 0
+    rows = [line.split(",") for line in out_csv.read_text(encoding="utf-8").strip().splitlines()]
+    assert rows[0] == ["method", "rb_percent", "mse_x100", "ncr", "n_reps"]
+    reasons = json.loads(sidecar.read_text(encoding="utf-8"))["ncr_reasons"]
+    assert set(reasons) == {"proposed", "ipw", "gmm3"}
+    for method, _, _, ncr, _ in rows[1:]:
+        assert sum(reasons[method].values()) == int(ncr)
+    assert sum(reasons["ipw"].values()) > 0
+
+
 def test_simulate_unknown_method_usage_error(capsys):
     rc = main([
         "simulate", "--scenario", "example1", "--n", "100", "--reps", "2",
