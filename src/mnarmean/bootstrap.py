@@ -11,8 +11,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, ModelConfig
-from .errors import MgfOverflowError, MnarError, NonConvergenceError, ReplicateErrors, UsageError
-from .fitting import fit_replicates, fit_with_variance, point_estimate, point_estimates
+from .errors import (
+    MgfOverflowError,
+    MnarError,
+    NonConvergenceError,
+    ReplicateErrors,
+    SingularDesignError,
+    UsageError,
+)
+from .fitting import fit_replicates, fit_with_variance, point_estimate
 from .inference import ConfidenceInterval
 
 FAILURE_TOLERANCE = 0.05
@@ -137,10 +144,10 @@ def bootstrap_percentile_ci(
     seed: int = 0,
 ) -> BootstrapResult:
     """Percentile CI for any of the point estimators of ``point_estimate``
-    (proposed, normal_plugin, ipw, gmm<k>).  A chunk's resamples are fitted
-    together, by ``fit_replicates`` for ``proposed`` and ``normal_plugin``
-    and by ``point_estimates`` for the others.  A resample whose fit does
-    not converge is a NONCONVERGENCE failure."""
+    (proposed, normal_plugin, ipw, gmm<k>).  ``proposed`` and
+    ``normal_plugin`` resamples are fitted together by ``fit_replicates``;
+    the others one at a time.  A resample whose fit does not converge is a
+    NONCONVERGENCE failure."""
 
     def fit(sample):
         return point_estimate(estimator_tag, sample, cfg)[0]
@@ -152,11 +159,15 @@ def bootstrap_percentile_ci(
             )
             taus, converged, errs = fits.tau, fits.converged, fits.errors
         else:
-            got = point_estimates(estimator_tag, [ds.take(rows) for rows in idx], cfg)
+            taus, converged = np.empty(len(idx)), np.ones(len(idx), dtype=bool)
             errs = ReplicateErrors(len(idx))
-            errs.record([j for j, g in enumerate(got) if isinstance(g, MnarError)], got.__getitem__)
-            taus = np.array([np.nan if isinstance(g, MnarError) else g[0] for g in got])
-            converged = np.array([isinstance(g, MnarError) or g[2] for g in got])
+            for j, rows in enumerate(idx):
+                try:
+                    taus[j], _, converged[j] = point_estimate(estimator_tag, ds.take(rows), cfg)
+                except MnarError as exc:
+                    errs.record([j], lambda _: exc)
+                except np.linalg.LinAlgError as exc:
+                    errs.record([j], lambda _: SingularDesignError(str(exc)))
         errs.record(
             np.flatnonzero(~converged),
             lambda j: NonConvergenceError("resample fit did not converge"),

@@ -17,13 +17,7 @@ from .data import (
     build_design,
     check_identifiability,
 )
-from .errors import (
-    IdentifiabilityError,
-    MnarError,
-    ReplicateErrors,
-    SingularDesignError,
-    UsageError,
-)
+from .errors import IdentifiabilityError, ReplicateErrors, UsageError
 from .inference import (
     ConfidenceInterval,
     SandwichPieces,
@@ -34,7 +28,7 @@ from .inference import (
     sigma_tau_batch,
     wald_ci,
 )
-from .ipw import monomial_basis, solve_gmm_stack, solve_ipw_stack
+from .ipw import monomial_basis, solve_gmm, solve_ipw
 from .mean_response import TauEstimate, estimate_tau, estimate_tau_normal_plugin, tau_batch
 from .outcome import OutcomeFit, fit_least_squares, least_squares_batch, predict_mu
 from .propensity import SCORE_TOL, PropensityFit, fit_propensity, newton_batch, z_stack
@@ -167,46 +161,17 @@ def point_estimate(tag: str, ds: Dataset, cfg: ModelConfig):
     """The estimator registry: (tau_hat, gamma_hat, converged) for ``proposed``,
     ``normal_plugin``, ``ipw`` and ``gmm<k>``; raises MnarError on failure."""
     check_estimator_tag(tag)
-    if tag in ("proposed", "normal_plugin"):
-        tau, prop, *_ = fit_tau_only(ds, cfg, normal_plugin=tag == "normal_plugin")
-        return tau.tau_hat, prop.gamma_hat, prop.converged
-    got = point_estimates(tag, [ds], cfg)[0]
-    if isinstance(got, MnarError):
-        raise got
-    return got
-
-
-def point_estimates(tag: str, datasets: list, cfg: ModelConfig) -> list:
-    """point_estimate on each dataset: entry j is dataset j's (tau_hat,
-    gamma_hat, converged), or the MnarError its fit raises (a LinAlgError
-    becomes a SingularDesignError).  The ``ipw`` and ``gmm<k>`` fits of all
-    the datasets run as one Gauss-Newton stack."""
-    check_estimator_tag(tag)
-    try:
+    if tag == "proposed":
+        tau, prop, *_ = fit_tau_only(ds, cfg)
+    elif tag == "normal_plugin":
+        tau, prop, *_ = fit_tau_only(ds, cfg, normal_plugin=True)
+    else:
         if tag == "ipw":
-            fits = solve_ipw_stack(datasets, cfg, _ipw_basis(datasets[0].d, cfg.p))
-        elif tag.startswith("gmm"):
-            fits = solve_gmm_stack(datasets, cfg, int(tag[3:]))
+            fit = solve_ipw(ds, cfg, _ipw_basis(ds.d, cfg.p))
         else:
-            return [_point_estimate_or_error(tag, ds, cfg) for ds in datasets]
-    except MnarError as exc:
-        return [exc.with_traceback(None)] * len(datasets)
-    return [
-        fit if isinstance(fit, MnarError) else (fit.tau_ipw, fit.gamma_hat, fit.converged)
-        for fit in fits
-    ]
-
-
-def _point_estimate_or_error(tag, ds, cfg):
-    """point_estimate, or the error it raises; the error carries no traceback,
-    which would keep this call's frames alive until the cyclic garbage
-    collector runs."""
-    try:
-        return point_estimate(tag, ds, cfg)
-    except MnarError as exc:
-        return exc.with_traceback(None)
-    except np.linalg.LinAlgError as exc:
-        return SingularDesignError(str(exc))
+            fit = solve_gmm(ds, cfg, int(tag[3:]))
+        return fit.tau_ipw, fit.gamma_hat, fit.converged
+    return tau.tau_hat, prop.gamma_hat, prop.converged
 
 
 def check_estimator_tag(tag: str) -> None:

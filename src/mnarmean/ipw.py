@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import BasisTerm, Dataset, ModelConfig, select_x1
-from .errors import MnarError, NonConvergenceError, UsageError, linalg_each
+from .errors import NonConvergenceError, UsageError, linalg_each
 
 MOMENT_TOL = 1e-8
 BISECT_TOL = 1e-10
@@ -186,11 +186,10 @@ def _objective(m: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _gauss_newton(wss: list, theta0: np.ndarray, W: np.ndarray, max_iter: int = 200):
+def _gauss_newton(ws: _MomentWorkspace, theta0: np.ndarray, W: np.ndarray, max_iter: int = 200):
     """Damped Gauss-Newton on the weighted moment objective m' W m with the
-    analytic moment Jacobian, for a stack of members: member (d, k) starts
-    from theta0[d, k] on the dataset of workspace wss[d], with weight W[d].
-    Each member runs on its own until one of these holds:
+    analytic moment Jacobian, for a stack of starts theta0 (k, p) on one
+    dataset.  Each start runs on its own until one of these holds:
 
     - its moments or objective are non-finite at the start, or its Jacobian
       is non-finite or its Gauss-Newton system singular (ok = False);
@@ -199,69 +198,54 @@ def _gauss_newton(wss: list, theta0: np.ndarray, W: np.ndarray, max_iter: int = 
       lower objective (converged if max |gradient| < 1e-6 (1 + obj));
     - max_iter iterations have run (not converged).
 
-    The state of the running members is kept in compact arrays, and the
-    moments run per dataset over its running members, so a member's numbers
-    do not depend on the other datasets of the stack, and a dataset whose
-    members have all stopped costs nothing.  Returns (theta, obj,
-    converged, ok) over the (dataset, member) axes."""
-    D, K, p = theta0.shape
-    th = np.array(theta0, dtype=float).reshape(D * K, p)
-    m, JT = zip(*(ws.moments_and_jacobians(th[d * K : (d + 1) * K]) for d, ws in enumerate(wss)))
-    m, JT, Wr = np.concatenate(m), np.concatenate(JT), np.repeat(W, K, axis=0)
-    obj = _objective(m, Wr)
+    The state of the running starts is kept in compact arrays, so a start
+    that has stopped costs nothing.  Returns (theta, obj, converged, ok),
+    one entry per start."""
+    th = np.array(theta0, dtype=float)
+    m, JT = ws.moments_and_jacobians(th)
+    obj = _objective(m, W)
     ok = np.isfinite(m).all(axis=-1) & np.isfinite(obj)
     theta_out, obj_out = th.copy(), np.where(ok, obj, np.inf)
-    converged = np.zeros(D * K, dtype=bool)
-    run = np.flatnonzero(ok)  # the running members, in dataset order
-    th, m, obj, JT, Wr = th[run], m[run], obj[run], JT[run], Wr[run]
-
-    def segments():
-        """(workspace, rows of its running members) for each dataset."""
-        starts = np.searchsorted(run, np.arange(D + 1) * K)
-        return [(wss[d], slice(starts[d], starts[d + 1])) for d in np.flatnonzero(np.diff(starts))]
+    converged = np.zeros(len(th), dtype=bool)
+    run = np.flatnonzero(ok)  # the running starts
+    th, m, obj, JT = th[run], m[run], obj[run], JT[run]
 
     def stop(done, conv, fine):
-        """Write out the members flagged in ``done`` and drop them."""
-        nonlocal run, th, m, obj, JT, Wr, gmax, delta, datasets
+        """Write out the starts flagged in ``done`` and drop them."""
+        nonlocal run, th, m, obj, JT, gmax, delta
         i = run[done]
         theta_out[i], obj_out[i], converged[i], ok[i] = th[done], obj[done], conv, fine
         keep = ~done
-        run, th, m, obj, JT, Wr = run[keep], th[keep], m[keep], obj[keep], JT[keep], Wr[keep]
-        gmax, delta, datasets = gmax[keep], delta[keep], segments()
-
-    datasets = segments()
+        run, th, m, obj, JT = run[keep], th[keep], m[keep], obj[keep], JT[keep]
+        gmax, delta = gmax[keep], delta[keep]
 
     for _ in range(max_iter):
-        grad = 2.0 * (JT @ (Wr @ m[..., None]))
+        grad = 2.0 * (JT @ (W @ m[..., None]))
         gmax = np.abs(grad).max(axis=(1, 2))
         delta = -grad
         bad = ~np.isfinite(JT).all(axis=(1, 2))
         done = bad | (gmax < 1e-8 * (1.0 + obj))
         if done.any():
             stop(done, ~bad[done], ~bad[done])
-        if not run.size:
-            break
         delta, singular = linalg_each(
-            np.linalg.solve, delta.shape, 2.0 * (JT @ Wr @ JT.swapaxes(1, 2)), delta
+            np.linalg.solve, delta.shape, 2.0 * (JT @ W @ JT.swapaxes(1, 2)), delta
         )
         if singular:
             stop(np.isin(np.arange(run.size), list(singular)), False, False)
+        if not run.size:
+            break
         cand = th + delta[..., 0]
-        mc = np.empty_like(m)
-        JTc = np.empty_like(JT)
-        for ws, rows in datasets:
-            mc[rows], JTc[rows] = ws.moments_and_jacobians(cand[rows])
-        oc = _objective(mc, Wr)
+        mc, JTc = ws.moments_and_jacobians(cand)
+        oc = _objective(mc, W)
         take = np.isfinite(mc).all(axis=-1) & np.isfinite(oc) & (oc < obj)
         th[take], m[take], obj[take], JT[take] = cand[take], mc[take], oc[take], JTc[take]
         if take.all():
             continue
         stalled = ~take
         for j in np.flatnonzero(stalled):
-            ws = wss[run[j] // K]
             cands = th[j] + HALVINGS[:, None] * delta[j, :, 0]
             mh = ws.moments(cands)
-            oh = _objective(mh, Wr[j])
+            oh = _objective(mh, W)
             good = np.flatnonzero(np.isfinite(mh).all(axis=-1) & np.isfinite(oh) & (oh < obj[j]))
             if good.size:
                 i = good[0]
@@ -271,69 +255,46 @@ def _gauss_newton(wss: list, theta0: np.ndarray, W: np.ndarray, max_iter: int = 
         if stalled.any():
             stop(stalled, gmax[stalled] < 1e-6 * (1.0 + obj[stalled]), True)
     theta_out[run], obj_out[run] = th, obj
-    return (
-        theta_out.reshape(D, K, p), obj_out.reshape(D, K), converged.reshape(D, K), ok.reshape(D, K)
-    )
+    return theta_out, obj_out, converged, ok
 
 
-def _lattice_starts(datasets: list, cfg: ModelConfig) -> np.ndarray:
-    """(datasets, 5, p): each dataset's default start with gamma shifted by
-    each offset in GAMMA_LATTICE."""
-    theta0 = np.repeat(
-        np.stack([default_ipw_start(ds, cfg) for ds in datasets])[:, None], len(GAMMA_LATTICE), 1
-    )
-    theta0[..., -1] += GAMMA_LATTICE
+def _lattice_starts(ds: Dataset, cfg: ModelConfig) -> np.ndarray:
+    """(5, p): the default start with gamma shifted by each offset in
+    GAMMA_LATTICE."""
+    theta0 = np.repeat(default_ipw_start(ds, cfg)[None], len(GAMMA_LATTICE), axis=0)
+    theta0[:, -1] += GAMMA_LATTICE
     return theta0
-
-
-def _one(fits: list):
-    """The one-dataset case of a *_stack solver: its fit, or raise its error."""
-    if isinstance(fits[0], MnarError):
-        raise fits[0]
-    return fits[0]
-
-
-def solve_ipw_stack(datasets: list, cfg: ModelConfig, basis_g: list[BasisTerm]) -> list:
-    """solve_ipw on each dataset, with every start of every dataset in one
-    Gauss-Newton stack; entry j is dataset j's IpwFit, or the
-    NonConvergenceError its solve_ipw raises."""
-    if len(basis_g) != cfg.p:
-        raise UsageError(
-            f"just-identified IPW needs {cfg.p} basis functions, got {len(basis_g)}"
-        )
-    wss = [_MomentWorkspace(ds, basis_g, cfg) for ds in datasets]
-    eye = np.broadcast_to(np.eye(cfg.p), (len(datasets), cfg.p, cfg.p))
-    thetas, _, _, oks = _gauss_newton(wss, _lattice_starts(datasets, cfg), eye)
-    fits = []
-    for ws, runs, ok in zip(wss, thetas, oks):
-        if not ok.any():
-            fits.append(NonConvergenceError(
-                "IPW moments non-finite, or their Jacobian non-finite or singular, at every start"
-            ))
-            continue
-        candidates = []
-        for theta in runs:
-            norm = _moment_norm(ws.moments(theta))
-            candidates.append((theta, norm, norm < MOMENT_TOL))
-        theta, norm, converged = min(candidates, key=lambda c: c[1])
-        tau, wmax = _horvitz_thompson(ws, theta)
-        fits.append(IpwFit(
-            theta_hat=theta,
-            converged=bool(converged),
-            tau_ipw=tau,
-            weights_max=wmax,
-            moment_norm=norm,
-            candidates=tuple(candidates),
-        ))
-    return fits
 
 
 def solve_ipw(ds: Dataset, cfg: ModelConfig, basis_g: list[BasisTerm]) -> IpwFit:
     """Just-identified IPW solve: Gauss-Newton on m'm from a 5-point gamma
-    multistart; the root with the smallest moment norm wins, and every
-    located candidate is kept on the fit report (the multiple-root hazard is
-    a first-class output).  The one-dataset case of solve_ipw_stack."""
-    return _one(solve_ipw_stack([ds], cfg, basis_g))
+    multistart, all starts in one stack; the root with the smallest moment
+    norm wins, and every located candidate is kept on the fit report (the
+    multiple-root hazard is a first-class output)."""
+    if len(basis_g) != cfg.p:
+        raise UsageError(
+            f"just-identified IPW needs {cfg.p} basis functions, got {len(basis_g)}"
+        )
+    ws = _MomentWorkspace(ds, basis_g, cfg)
+    thetas, _, _, oks = _gauss_newton(ws, _lattice_starts(ds, cfg), np.eye(cfg.p))
+    if not oks.any():
+        raise NonConvergenceError(
+            "IPW moments non-finite, or their Jacobian non-finite or singular, at every start"
+        )
+    candidates = []
+    for theta in thetas:
+        norm = _moment_norm(ws.moments(theta))
+        candidates.append((theta, norm, norm < MOMENT_TOL))
+    theta, norm, converged = min(candidates, key=lambda c: c[1])
+    tau, wmax = _horvitz_thompson(ws, theta)
+    return IpwFit(
+        theta_hat=theta,
+        converged=bool(converged),
+        tau_ipw=tau,
+        weights_max=wmax,
+        moment_norm=norm,
+        candidates=tuple(candidates),
+    )
 
 
 def monomial_basis(d: int, degree: int) -> list[BasisTerm]:
@@ -346,60 +307,46 @@ def monomial_basis(d: int, degree: int) -> list[BasisTerm]:
     return terms
 
 
-def _step2_weight(ws: _MomentWorkspace, theta1: np.ndarray) -> np.ndarray:
-    """The ridge-regularized inverse of the empirical moment covariance at
-    the step-1 point; the identity when that is non-finite or singular."""
-    W1 = np.eye(ws.G_obs.shape[1])
-    U = ws.per_row(theta1)
-    if not np.isfinite(U).all():
-        omega = W1
-    else:
-        Uc = U - U.mean(axis=0)
-        omega = Uc.T @ Uc / ws.n
-    ridge = 1e-8 * max(np.trace(omega), 1e-300)
-    try:
-        return np.linalg.inv(omega + ridge * W1)
-    except np.linalg.LinAlgError:
-        return W1
-
-
-def solve_gmm_stack(datasets: list, cfg: ModelConfig, degree_k: int) -> list:
-    """solve_gmm on each of several datasets with the same covariates, with
-    every start of every dataset in one Gauss-Newton stack per step; entry j
-    is dataset j's IpwFit."""
-    basis_g = monomial_basis(datasets[0].d, degree_k)
+def solve_gmm(ds: Dataset, cfg: ModelConfig, degree_k: int) -> IpwFit:
+    """Two-step GMM over the monomial basis of total degree <= k: identity
+    weight first, then the ridge-regularized inverse moment covariance, each
+    step from the 5-point gamma multistart in one stack.  Non-convergence is
+    recorded on the fit, not raised, so simulation harnesses can count it.
+    The one candidate is the step-1 point with its own (identity-weight)
+    objective."""
+    basis_g = monomial_basis(ds.d, degree_k)
     if len(basis_g) < cfg.p:
         raise UsageError(
             f"degree-{degree_k} basis has {len(basis_g)} functions, "
             f"fewer than dim(theta) = {cfg.p}"
         )
-    wss = [_MomentWorkspace(ds, basis_g, cfg) for ds in datasets]
-    theta0 = _lattice_starts(datasets, cfg)
-    W1 = np.broadcast_to(np.eye(len(basis_g)), (len(datasets), len(basis_g), len(basis_g)))
-    thetas, objs, convs, _ = _gauss_newton(wss, theta0, W1)
-    best = objs.argmin(axis=1)
-    step1 = [(thetas[d, k], float(objs[d, k]), bool(convs[d, k])) for d, k in enumerate(best)]
-    W2 = np.stack([_step2_weight(ws, theta1) for ws, (theta1, _, _) in zip(wss, step1)])
-    thetas, objs, convs, _ = _gauss_newton(wss, theta0, W2)
-    fits = []
-    for d, k in enumerate(objs.argmin(axis=1)):
-        tau, wmax = _horvitz_thompson(wss[d], thetas[d, k])
-        fits.append(IpwFit(
-            theta_hat=thetas[d, k],
-            converged=bool(step1[d][2] and convs[d, k]),
-            tau_ipw=tau,
-            weights_max=wmax,
-            moment_norm=_moment_norm(wss[d].moments(thetas[d, k])),
-            candidates=(step1[d],),
-        ))
-    return fits
+    ws = _MomentWorkspace(ds, basis_g, cfg)
+    theta0 = _lattice_starts(ds, cfg)
+    W1 = np.eye(len(basis_g))
+    thetas, objs, convs, _ = _gauss_newton(ws, theta0, W1)
+    k = objs.argmin()
+    theta1, obj1, conv1 = thetas[k], float(objs[k]), bool(convs[k])
 
-
-def solve_gmm(ds: Dataset, cfg: ModelConfig, degree_k: int) -> IpwFit:
-    """Two-step GMM over the monomial basis of total degree <= k: identity
-    weight first, then the ridge-regularized inverse moment covariance.
-    Non-convergence is recorded on the fit, not raised, so simulation
-    harnesses can count it.  The one candidate is the step-1 point with its
-    own (identity-weight) objective.  The one-dataset case of
-    solve_gmm_stack."""
-    return _one(solve_gmm_stack([ds], cfg, degree_k))
+    # empirical moment covariance at the step-1 point, ridge-regularized
+    U = ws.per_row(theta1)
+    if not np.isfinite(U).all():
+        omega = W1
+    else:
+        Uc = U - U.mean(axis=0)
+        omega = Uc.T @ Uc / ds.n
+    ridge = 1e-8 * max(np.trace(omega), 1e-300)
+    try:
+        W2 = np.linalg.inv(omega + ridge * W1)
+    except np.linalg.LinAlgError:
+        W2 = W1
+    thetas, objs, convs, _ = _gauss_newton(ws, theta0, W2)
+    k = objs.argmin()
+    tau, wmax = _horvitz_thompson(ws, thetas[k])
+    return IpwFit(
+        theta_hat=thetas[k],
+        converged=bool(conv1 and convs[k]),
+        tau_ipw=tau,
+        weights_max=wmax,
+        moment_norm=_moment_norm(ws.moments(thetas[k])),
+        candidates=((theta1, obj1, conv1),),
+    )

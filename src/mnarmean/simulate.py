@@ -9,9 +9,6 @@ the outcome-dependent missingness model both hold exactly."""
 
 from __future__ import annotations
 
-import ctypes
-import glob
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -19,9 +16,8 @@ import numpy as np
 from scipy.special import expit
 
 from .data import BasisTerm, Dataset, ModelConfig, select_x1
-from .bootstrap import CHUNK_ROWS, bootstrap_t_ci
-from .errors import MnarError, UsageError
-from .fitting import check_estimator_tag, fit_with_variance, point_estimate, point_estimates
+from .errors import MnarError, SingularDesignError, UsageError
+from .fitting import check_estimator_tag, fit_with_variance, point_estimate
 from .inference import wald_ci
 
 NCR_TAU_RANGE = (-10.0, 10.0)
@@ -319,9 +315,10 @@ class StudyRow:
 
 def _ncr_reason(got) -> str | None:
     """Why a replication's result counts as NCR, or None when it does not;
-    ``got`` is (tau_hat, gamma_hat, converged) or the MnarError raised."""
-    if isinstance(got, MnarError):
-        return got.code
+    ``got`` is (tau_hat, gamma_hat, converged) or the code of the MnarError
+    raised."""
+    if isinstance(got, str):
+        return got
     tau_hat, gamma_hat, converged = got
     if not converged:
         return "NONCONVERGED"
@@ -340,49 +337,27 @@ def run_method(method: str, ds: Dataset, sc: Scenario, tau0: float):
     return point_estimate(method, ds, sc.model_config())
 
 
-def _study_chunk(args):
-    """One chunk of replications: {method: one result per replication},
-    each (tau_hat, gamma_hat, converged) or the MnarError raised.  Each
-    method fits the chunk's datasets with ``point_estimates``."""
-    sc, n, methods, tau0, child_seeds = args
-    datasets = [generate_dataset(sc, n, s) for s in child_seeds]
-    return {
-        method: [(tau0, sc.gamma, True)] * len(datasets)
-        if method == "oracle"
-        else point_estimates(method, datasets, sc.model_config())
-        for method in methods
-    }
-
-
-def _chunks(children: list, n: int) -> list:
-    """Consecutive replications of about CHUNK_ROWS rows in all, so the
-    chunks depend on n and the replication index only."""
-    size = max(1, CHUNK_ROWS // n)
-    return [children[i : i + size] for i in range(0, len(children), size)]
-
-
-def _single_blas_thread():
-    """Pool initializer: hold numpy's bundled OpenBLAS to one thread in the
-    worker, so that the workers do not oversubscribe the cores.  Does
-    nothing when that library or its symbol is missing."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "libscipy_openblas*.so*")):
+def _study_rep(args):
+    """One replication: {method: (tau_hat, gamma_hat, converged), or the
+    code of the MnarError raised}."""
+    sc, n, methods, tau0, child_seed = args
+    ds = generate_dataset(sc, n, child_seed)
+    out = {}
+    for method in methods:
         try:
-            set_threads = ctypes.CDLL(path).scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        set_threads(1)
+            out[method] = run_method(method, ds, sc, tau0)
+        except MnarError as exc:
+            out[method] = exc.code
+        except np.linalg.LinAlgError:
+            out[method] = SingularDesignError.code
+    return out
 
 
 def _parallel_map(fn, items, threads: int):
-    """[fn(item) for item in items], in ``threads`` worker processes when
-    that is above 1; each task takes about a quarter of a worker's share."""
     if threads <= 1:
         return [fn(it) for it in items]
-    chunksize = max(1, len(items) // (4 * threads))
-    with ProcessPoolExecutor(max_workers=threads, initializer=_single_blas_thread) as pool:
-        return list(pool.map(fn, items, chunksize=chunksize))
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items, chunksize=8))
 
 
 def run_study(
@@ -408,19 +383,17 @@ def run_study(
             sc, truth_draws, seed=np.random.SeedSequence((int(seed), 1))
         )["tau0"]
     children = np.random.SeedSequence(int(seed)).spawn(reps)
-    chunks = _parallel_map(
-        _study_chunk,
-        [(sc, n, tuple(methods), tau0, c) for c in _chunks(children, n)],
-        threads,
+    results = _parallel_map(
+        _study_rep, [(sc, n, tuple(methods), tau0, s) for s in children], threads
     )
     rows = []
     for method in methods:
         taus = []
         reasons: dict = {}
-        for got in (got for chunk in chunks for got in chunk[method]):
-            reason = _ncr_reason(got)
+        for res in results:
+            reason = _ncr_reason(res[method])
             if reason is None:
-                taus.append(got[0])
+                taus.append(res[method][0])
             else:
                 reasons[reason] = reasons.get(reason, 0) + 1
         ncr = sum(reasons.values())
@@ -442,6 +415,8 @@ def run_study(
 
 def _coverage_rep(args):
     sc, n, ci_method, level, boot_b, variant, child_seed = args
+    from .bootstrap import bootstrap_t_ci  # local import to avoid a cycle
+
     ds = generate_dataset(sc, n, child_seed)
     cfg = sc.model_config()
     try:

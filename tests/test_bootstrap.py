@@ -10,7 +10,7 @@ from mnarmean.bootstrap import (
     bootstrap_t_ci,
     t_interval_from_stats,
 )
-from mnarmean.errors import MgfOverflowError, MnarError, NonConvergenceError, UsageError
+from mnarmean.errors import MnarError, NonConvergenceError, UsageError
 from mnarmean.fitting import fit_with_variance, point_estimate
 from mnarmean.inference import wald_ci
 from mnarmean.simulate import example1, example2, generate_dataset
@@ -180,38 +180,6 @@ def _converged_tau(tag, star, cfg):
     if not converged:
         raise NonConvergenceError("resample fit did not converge")
     return tau
-
-
-def _converged_finite_tau(tag, star, cfg):
-    tau = _converged_tau(tag, star, cfg)
-    if not np.isfinite(tau):
-        raise MgfOverflowError("non-finite resample estimate")
-    return tau
-
-
-@pytest.mark.parametrize("tag, seed", [("ipw", 0), ("ipw", 1), ("ipw", 2), ("gmm3", 1)])
-def test_percentile_ipw_gmm_match_per_resample_loop(monkeypatch, tag, seed):
-    """A chunk's ipw/gmm3 resamples are fitted as one stack; each gets the
-    estimate, bit for bit, and the failure code of its own fit."""
-    import mnarmean.bootstrap as bs
-
-    sc = example1(alpha0=-1.7, delta=1.0)
-    ds = generate_dataset(sc, 300, seed=60 + seed)
-    cfg = sc.model_config()
-    taus = []
-    real_resample = bs._resample
-
-    def keep_taus(*args):
-        original, values, failures = real_resample(*args)
-        taus.append((values, failures))
-        return original, values, failures
-
-    monkeypatch.setattr(bs, "_resample", keep_taus)
-    monkeypatch.setattr(bs, "FAILURE_TOLERANCE", 1.0)  # keep every outcome
-    bootstrap_percentile_ci(tag, ds, cfg, B=199, seed=seed)
-    ref, failures = _per_resample_loop(ds, 199, seed, lambda star: _converged_finite_tau(tag, star, cfg))
-    assert taus[0][1] == failures
-    assert np.array_equal(taus[0][0], ref)
 
 
 def test_percentile_counts_non_converged_resamples_as_failures():

@@ -13,11 +13,9 @@ from mnarmean.ipw import (
     monomial_basis,
     profile_gamma,
     solve_gmm,
-    solve_gmm_stack,
     solve_ipw,
-    solve_ipw_stack,
 )
-from mnarmean.simulate import example1, example2, generate_dataset, section2_design
+from mnarmean.simulate import example1, example2, generate_dataset
 
 from conftest import mar_dataset
 
@@ -305,33 +303,35 @@ def _ref_point_estimate(tag, ds, cfg):
     return theta2, _ref_tau(ws, theta2), bool(conv1 and conv2)
 
 
-def _stacked_fits(tag, datasets, cfg):
-    """(theta, tau, converged) or the MnarError, from 12-dataset stacks."""
+def _fits(tag, datasets, cfg):
+    """(theta, tau, converged) or the MnarError raised, per dataset."""
     out = []
-    for i in range(0, len(datasets), 12):
-        chunk = datasets[i : i + 12]
-        if tag == "ipw":
-            fits = solve_ipw_stack(chunk, cfg, _ipw_basis(chunk[0].d, cfg.p))
-        else:
-            fits = solve_gmm_stack(chunk, cfg, int(tag[3:]))
-        out += [f if isinstance(f, MnarError) else (f.theta_hat, f.tau_ipw, f.converged)
-                for f in fits]
+    for ds in datasets:
+        try:
+            if tag == "ipw":
+                fit = solve_ipw(ds, cfg, _ipw_basis(ds.d, cfg.p))
+            else:
+                fit = solve_gmm(ds, cfg, int(tag[3:]))
+            out.append((fit.theta_hat, fit.tau_ipw, fit.converged))
+        except MnarError as exc:
+            out.append(exc)
     return out
 
 
 @pytest.mark.parametrize("scenario", ["example1", "example2"])
 @pytest.mark.parametrize("tag", ["ipw", "gmm3"])
-def test_stacked_fits_match_per_start_loop(scenario, tag):
+def test_fits_match_per_start_loop(scenario, tag):
     """200 datasets at n = 2 000: raise/no-raise and the converged flag agree
     on at least 99% of fits, and where both converge tau and theta agree to
-    1e-9 (ipw) or 1e-6 (gmm3) relative on at least 99%.  The stack rounds
-    differently from the loop, so a fit near a flag's threshold may flip."""
+    1e-9 (ipw) or 1e-6 (gmm3) relative on at least 99%.  The stacked starts
+    round differently from the loop, so a fit near a flag's threshold may
+    flip."""
     sc = example1(-1.7, 0.0) if scenario == "example1" else example2()
     cfg = sc.model_config()
     datasets = [generate_dataset(sc, 2000, seed) for seed in range(200)]
     tol = 1e-9 if tag == "ipw" else 1e-6
     flags_agree = close = both = 0
-    for ds, new in zip(datasets, _stacked_fits(tag, datasets, cfg)):
+    for ds, new in zip(datasets, _fits(tag, datasets, cfg)):
         try:
             ref = _ref_point_estimate(tag, ds, cfg)
         except MnarError as exc:
@@ -352,7 +352,7 @@ def test_stacked_fits_match_per_start_loop(scenario, tag):
 def test_overflowed_gmm_objective_is_rejected(seed):
     """On these datasets a step-2 line-search point has finite moments whose
     objective m'W2m overflows to -inf (on seed 4 in the per-start loop, on
-    seed 6 in the stack).  Taking it gave tau near 1e155 to 1e179 and
+    seed 6 in the stacked starts).  Taking it gave tau near 1e155 to 1e179 and
     converged=False; on seed 4 it gave tau 3.7e155 and gamma 16.6."""
     sc = example1(-1.7, 0.0)
     ds = generate_dataset(sc, 2000, seed)
@@ -376,46 +376,9 @@ def test_start_with_overflowing_objective_is_not_ok():
     ds = _mar_big(n=500)
     ws = _MomentWorkspace(ds, monomial_basis(2, 1), CFG2)
     gamma = 700.0 / np.nanmax(ds.y)  # e^{gamma y} stays finite, its square does not
-    theta0 = np.array([[[-0.5, 0.7, 0.0], [0.0, 0.0, gamma]]])
-    assert np.isfinite(ws.moments(theta0[0, 1])).all()
-    theta, obj, converged, ok = _gauss_newton([ws], theta0, np.eye(3)[None])
-    assert ok.tolist() == [[True, False]]
-    assert obj[0, 1] == np.inf and not converged[0, 1]
-    assert np.array_equal(theta[0, 1], theta0[0, 1])
-
-
-def _same_fit(a, b):
-    if isinstance(a, MnarError) or isinstance(b, MnarError):
-        return type(a) is type(b) and str(a) == str(b)
-    return (
-        np.array_equal(a.theta_hat, b.theta_hat)
-        and (a.converged, a.tau_ipw, a.weights_max, a.moment_norm)
-        == (b.converged, b.tau_ipw, b.weights_max, b.moment_norm)
-        and len(a.candidates) == len(b.candidates)
-        and all(
-            np.array_equal(ca[0], cb[0]) and ca[1:] == cb[1:]
-            for ca, cb in zip(a.candidates, b.candidates)
-        )
-    )
-
-
-@pytest.mark.parametrize("scenario", ["example1", "example2", "section2"])
-def test_fit_alone_is_bit_identical_to_fit_in_stack(scenario):
-    """Every member's numbers depend on its own dataset only, so a dataset
-    fitted alone gives the same IpwFit, bit for bit, as inside a stack of
-    12 (on section 2 data some IPW fits raise, and must raise alike)."""
-    sc = {"example1": example1(-1.7, 0.0), "example2": example2(),
-          "section2": section2_design()}[scenario]
-    cfg = sc.model_config()
-    datasets = [generate_dataset(sc, 2000, seed) for seed in range(12)]
-    for solve, stack in (
-        (lambda ds: solve_ipw(ds, cfg, _ipw_basis(ds.d, cfg.p)),
-         solve_ipw_stack(datasets, cfg, _ipw_basis(datasets[0].d, cfg.p))),
-        (lambda ds: solve_gmm(ds, cfg, 3), solve_gmm_stack(datasets, cfg, 3)),
-    ):
-        for ds, in_stack in zip(datasets, stack):
-            try:
-                alone = solve(ds)
-            except MnarError as exc:
-                alone = exc
-            assert _same_fit(alone, in_stack)
+    theta0 = np.array([[-0.5, 0.7, 0.0], [0.0, 0.0, gamma]])
+    assert np.isfinite(ws.moments(theta0[1])).all()
+    theta, obj, converged, ok = _gauss_newton(ws, theta0, np.eye(3))
+    assert ok.tolist() == [True, False]
+    assert obj[1] == np.inf and not converged[1]
+    assert np.array_equal(theta[1], theta0[1])
