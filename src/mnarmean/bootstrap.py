@@ -16,7 +16,6 @@ from .errors import (
     MnarError,
     NonConvergenceError,
     ReplicateErrors,
-    SingularDesignError,
     UsageError,
 )
 from .fitting import fit_replicates, fit_with_variance, point_estimate
@@ -166,8 +165,6 @@ def bootstrap_percentile_ci(
                     taus[j], _, converged[j] = point_estimate(estimator_tag, ds.take(rows), cfg)
                 except MnarError as exc:
                     errs.record([j], lambda _: exc)
-                except np.linalg.LinAlgError as exc:
-                    errs.record([j], lambda _: SingularDesignError(str(exc)))
         errs.record(
             np.flatnonzero(~converged),
             lambda j: NonConvergenceError("resample fit did not converge"),

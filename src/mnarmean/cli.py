@@ -59,6 +59,8 @@ def cmd_fit(args) -> int:
         "m2_hat": res.tau.m2_hat,
         "sigma2_tau": res.variance.sigma2_tau,
         "sigma2_tau_clipped": res.variance.clipped,
+        # the H1 variant of sigma2_tau, which also studentizes bootstrap-t
+        "variant": args.variant,
         "wald_ci": [res.wald.lower, res.wald.upper],
         "level": args.level,
         "converged": res.propensity.converged,

@@ -241,20 +241,30 @@ def check_identifiability(
     return IdentifiabilityReport(identifiable=identifiable, condition_number=cond)
 
 
+def _plain_body(text: str) -> bool:
+    """Whether the text past its first line is ASCII without '_'.  Then
+    ``float`` accepts exactly the cells that ``_number`` accepts, with the
+    same value, and the cells need not be checked one by one."""
+    start = min(i for i in (text.find("\n"), text.find("\r"), len(text)) if i >= 0)
+    return text.find("_", start) < 0 and (text.isascii() or text[start:].isascii())
+
+
 def _split_cells(text: str):
     """Split CSV text into cells the way ``csv.reader`` does.  Returns the
-    header, the cell count of each data row and the data rows' cells in row
-    order, or None for an empty file.  Text with a quote character goes
-    through ``csv.reader``.  Other text is split at line ends (LF, CRLF or a
-    lone CR, as for ``csv.reader``) and commas; a row's cell count is then
-    its commas plus one, or zero for a blank line.  Past the first row whose
-    count differs from the header's, the cells no longer line up with rows."""
+    header, the cell count of each data row, the data rows' cells in row
+    order and ``_plain_body`` of the text, or None for an empty file.  Text
+    with a quote character goes through ``csv.reader``.  Other text is
+    split at line ends (LF, CRLF or a lone CR, as for ``csv.reader``) and
+    commas; a row's cell count is then its commas plus one, or zero for a
+    blank line.  Past the first row whose count differs from the header's,
+    the cells no longer line up with rows."""
+    plain = _plain_body(text)
     if '"' in text:
         rows = list(csv.reader(io.StringIO(text, newline="")))
         if not rows:
             return None
         counts = np.fromiter(map(len, rows), np.int64, len(rows))
-        return rows[0], counts[1:], list(chain.from_iterable(rows[1:]))
+        return rows[0], counts[1:], list(chain.from_iterable(rows[1:])), plain
     if not text:
         return None
     if "\r" in text:
@@ -267,18 +277,30 @@ def _split_cells(text: str):
     del raw
     counts = np.diff(commas_before, prepend=0) + (np.diff(ends, prepend=-1) > 1)
     cells = text.replace("\n", ",").split(",")
-    return cells[: counts[0]], counts[1:], cells[counts[0] :]
+    return cells[: counts[0]], counts[1:], cells[counts[0] :], plain
 
 
-def _to_floats(cells: list[str]):
-    """(``float`` of every cell as one array, None), or (None, the index of
-    the first cell that ``float`` rejects)."""
+def _number(cell: str) -> float:
+    """``float`` of a cell that, inside its whitespace, is ASCII without '_':
+    a decimal or scientific number (inf and nan are rejected later).
+    ``float`` alone would also read 1_5 as 15 and non-ASCII digits."""
+    text = cell.strip()
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII decimal number: {cell!r}")
+    return float(text)
+
+
+def _to_floats(cells: list[str], plain: bool):
+    """(``_number`` of every cell as one array, None), or (None, the index
+    of the first cell that it rejects); ``plain`` is ``_plain_body`` of the
+    text the cells come from."""
+    convert = float if plain else _number
     try:
-        return np.fromiter(map(float, cells), np.float64, len(cells)), None
+        return np.fromiter(map(convert, cells), np.float64, len(cells)), None
     except ValueError:
         for i, cell in enumerate(cells):
             try:
-                float(cell)
+                _number(cell)
             except ValueError:
                 return None, i
         raise
@@ -293,9 +315,11 @@ def parse_dataset(
     """Read a UTF-8 CSV with a header row.  Missing y is an empty field; an
     explicit 0/1 r column is optional (r is derived from y presence when
     absent).  x_cols defaults to every column other than y and r.  Quoting
-    follows ``csv.reader``.  A row whose cell count differs from the
-    header's and a non-finite cell (nan, inf) are ParseErrors naming the
-    row; of several malformed rows, the first is reported."""
+    follows ``csv.reader``.  A numeric cell holds an ASCII decimal or
+    scientific number, padded with whitespace or not.  A row whose cell
+    count differs from the header's, any other numeric cell and a
+    non-finite one (nan, inf) are ParseErrors naming the row; of several
+    malformed rows, the first is reported."""
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -304,7 +328,7 @@ def parse_dataset(
         split = _split_cells(fh.read())
     if split is None:
         raise ParseError(f"{path}: empty file, expected a header row")
-    header, counts, tokens = split
+    header, counts, tokens, plain = split
 
     def col_index(name):
         try:
@@ -338,7 +362,7 @@ def parse_dataset(
     ycells = column(yi)
     present = np.fromiter(map(bool, map(str.strip, ycells)), bool, m)
     y = np.full(m, np.nan)
-    values, bad = _to_floats(list(compress(ycells, present)))
+    values, bad = _to_floats(list(compress(ycells, present)), plain)
     if bad is None:
         y[present] = values
     else:
@@ -362,7 +386,7 @@ def parse_dataset(
         r = one.astype(np.int64)
     x = np.empty((m, len(xi)))
     for j, ci in enumerate(xi):
-        values, bad = _to_floats(column(ci))
+        values, bad = _to_floats(column(ci), plain)
         if bad is None:
             x[:, j] = values
         else:

@@ -17,7 +17,7 @@ from .data import (
     build_design,
     check_identifiability,
 )
-from .errors import IdentifiabilityError, ReplicateErrors, UsageError
+from .errors import IdentifiabilityError, ReplicateErrors, SingularDesignError, UsageError
 from .inference import (
     ConfidenceInterval,
     SandwichPieces,
@@ -52,12 +52,11 @@ def fit_mean_response(
     cfg: ModelConfig,
     level: float = 0.95,
     variant: str = "printed",
-    require_identifiable: bool = True,
 ) -> FitResult:
     dm = build_design(ds, cfg)
     outcome = fit_least_squares(ds, dm)
     ident = check_identifiability(dm, xi_hat=outcome.xi_hat)
-    if require_identifiable and not ident.identifiable:
+    if not ident.identifiable:
         raise IdentifiabilityError(
             "mean basis lies in the span of {1, x1}: theta is not identifiable"
         )
@@ -159,19 +158,20 @@ def fit_replicates(
 
 def point_estimate(tag: str, ds: Dataset, cfg: ModelConfig):
     """The estimator registry: (tau_hat, gamma_hat, converged) for ``proposed``,
-    ``normal_plugin``, ``ipw`` and ``gmm<k>``; raises MnarError on failure."""
+    ``normal_plugin``, ``ipw`` and ``gmm<k>``; raises MnarError on failure,
+    with a LinAlgError from a solver raised as SingularDesignError."""
     check_estimator_tag(tag)
-    if tag == "proposed":
-        tau, prop, *_ = fit_tau_only(ds, cfg)
-    elif tag == "normal_plugin":
-        tau, prop, *_ = fit_tau_only(ds, cfg, normal_plugin=True)
-    else:
+    try:
+        if tag in ("proposed", "normal_plugin"):
+            tau, prop, *_ = fit_tau_only(ds, cfg, normal_plugin=tag == "normal_plugin")
+            return tau.tau_hat, prop.gamma_hat, prop.converged
         if tag == "ipw":
             fit = solve_ipw(ds, cfg, _ipw_basis(ds.d, cfg.p))
         else:
             fit = solve_gmm(ds, cfg, int(tag[3:]))
-        return fit.tau_ipw, fit.gamma_hat, fit.converged
-    return tau.tau_hat, prop.gamma_hat, prop.converged
+    except np.linalg.LinAlgError as exc:
+        raise SingularDesignError(str(exc)) from exc
+    return fit.tau_ipw, fit.gamma_hat, fit.converged
 
 
 def check_estimator_tag(tag: str) -> None:

@@ -1,6 +1,6 @@
 """Plug-in sandwich variance machinery: the A-matrices, the joint covariance
-of (xi_hat, theta_hat), the B/C moment pieces, per-row score vectors and
-their Gram matrix V_hat, the delta-method vector D_hat for tau_hat, and the
+of (xi_hat, theta_hat), the B/C moment pieces, the Gram matrix V_hat of the
+per-row score vectors, the delta-method vector D_hat for tau_hat, and the
 Wald confidence interval.
 
 A note on the H1 variants: the printed delta-method row for the mean-basis
@@ -27,7 +27,7 @@ from .errors import (
     UsageError,
     linalg_each,
 )
-from .mean_response import MGF_RANGE
+from .mean_response import check_mgf_range
 from .outcome import OutcomeFit
 from .propensity import PropensityFit, _z_matrix
 
@@ -54,7 +54,6 @@ class SandwichPieces:
     C1: np.ndarray  # q
     C2: np.ndarray  # q
     V: np.ndarray  # m x m, m = 1 + q + p + 3
-    Shat: np.ndarray  # n x m
 
 
 @dataclass(frozen=True)
@@ -67,12 +66,6 @@ class VarianceEstimates:
     clipped: bool
 
 
-def _propensity_rows(ds, mu_hat, propensity_fit, cfg):
-    """Per-row z_i = (1, x1_i, mu_hat_i) and fitted pi_i."""
-    z = _z_matrix(ds, mu_hat, cfg)
-    return z, expit(-(z @ propensity_fit.theta_hat))
-
-
 def _residual_rows(ds, outcome_fit):
     """Per-row r_i and eps_i (0 where y is missing)."""
     eps = np.zeros(ds.n)
@@ -80,23 +73,11 @@ def _residual_rows(ds, outcome_fit):
     return ds.r.astype(float), eps
 
 
-def _tilt(eps, gamma, errs):
-    """e^{gamma eps} for b fits at once: eps (b, n), gamma (b,)."""
-    s = gamma[:, None] * eps
-    big = np.abs(s)
-
-    def overflow(j):
-        i = int(np.argmax(big[j]))
-        return MgfOverflowError(
-            f"gamma * residual = {s[j, i]:.3g} at row {i} exceeds the "
-            f"stabilized range {MGF_RANGE:g}"
-        )
-
-    errs.record(np.flatnonzero(np.max(big, axis=1, initial=0.0) > MGF_RANGE), overflow)
-    return np.exp(s)
-
-
 def _A_matrices(M, r, z, pi):
+    """A1 = n^-1 sum r M_i' M_i,  A2 = n^-1 sum w_i z_i z_i',
+    A3 = n^-1 sum w_i z_i M_i,  A4 = n^-1 sum M_i',  w_i = pi_i (1 - pi_i);
+    grad_xi mu is the basis row M_i (mu is linear in xi) and
+    grad_theta phi = z_i = (1, x1_i, mu_hat_i)."""
     n = M.shape[-2]
     zw = z * (pi * (1.0 - pi))[..., None]
     zwt = zw.swapaxes(-1, -2)
@@ -106,21 +87,6 @@ def _A_matrices(M, r, z, pi):
         zwt @ M / n,
         M.mean(axis=-2),
     )
-
-
-def estimate_A_matrices(
-    ds: Dataset,
-    dm: DesignMatrices,
-    mu_hat: np.ndarray,
-    propensity_fit: PropensityFit,
-    cfg: ModelConfig,
-):
-    """A1 = n^-1 sum r M_i' M_i,  A2 = n^-1 sum w_i z_i z_i',
-    A3 = n^-1 sum w_i z_i M_i,  A4 = n^-1 sum M_i',  w_i = pi_i (1 - pi_i);
-    grad_xi mu is the basis row M_i (mu is linear in xi) and
-    grad_theta phi = z_i = (1, x1_i, mu_hat_i)."""
-    z, pi = _propensity_rows(ds, mu_hat, propensity_fit, cfg)
-    return _A_matrices(dm.M, ds.r.astype(float), z, pi)
 
 
 def _checked_inverse(A: np.ndarray, name: str, errs: ReplicateErrors) -> np.ndarray:
@@ -157,35 +123,20 @@ def _joint_covariance(A1inv, A2inv, A3, sigma2_hat, gamma_hat) -> np.ndarray:
     return (Sigma + Sigma.T) / 2.0
 
 
-def _score_rows_and_V(M, mu_hat, r, z, pi, eps, e, B):
+def _score_rows(M, mu_hat, r, z, pi, eps, e, B):
+    """Per-row estimating-function residuals S_hat_i (..., n, q + p + 4) of
+    psi = (r - eta, M r eps, z (r - pi), mu - mu_bar, r e^{g eps} - B1,
+    r eps e^{g eps} - B2)."""
     B1, B2, _ = B
     q, p = M.shape[-1], z.shape[-1]
-    Shat = np.empty(M.shape[:-1] + (q + p + 4,))
-    Shat[..., 0] = r - r.mean(axis=-1, keepdims=True)
-    Shat[..., 1 : 1 + q] = M * (r * eps)[..., None]
-    Shat[..., 1 + q : 1 + q + p] = z * (r - pi)[..., None]
-    Shat[..., -3] = mu_hat - mu_hat.mean(axis=-1, keepdims=True)
-    Shat[..., -2] = e - np.expand_dims(B1, -1)
-    Shat[..., -1] = eps * e - np.expand_dims(B2, -1)
-    return Shat, Shat.swapaxes(-1, -2) @ Shat / M.shape[-2]
-
-
-def build_score_rows_and_V(
-    ds: Dataset,
-    dm: DesignMatrices,
-    mu_hat: np.ndarray,
-    outcome_fit: OutcomeFit,
-    propensity_fit: PropensityFit,
-    cfg: ModelConfig,
-    B: tuple[float, float, float],
-):
-    """Per-row estimating-function residuals S_hat_i and V_hat = n^-1 S'S."""
-    r, eps = _residual_rows(ds, outcome_fit)
-    errs = ReplicateErrors(1)
-    e = r * _tilt(eps[None], np.array([propensity_fit.gamma_hat]), errs)[0]
-    errs.raise_first()
-    z, pi = _propensity_rows(ds, mu_hat, propensity_fit, cfg)
-    return _score_rows_and_V(dm.M, mu_hat, r, z, pi, eps, e, B)
+    S = np.empty(M.shape[:-1] + (q + p + 4,))
+    S[..., 0] = r - r.mean(axis=-1, keepdims=True)
+    S[..., 1 : 1 + q] = M * (r * eps)[..., None]
+    S[..., 1 + q : 1 + q + p] = z * (r - pi)[..., None]
+    S[..., -3] = mu_hat - mu_hat.mean(axis=-1, keepdims=True)
+    S[..., -2] = e - np.expand_dims(B1, -1)
+    S[..., -1] = eps * e - np.expand_dims(B2, -1)
+    return S
 
 
 @np.errstate(all="ignore")
@@ -195,14 +146,18 @@ def sandwich_batch(M, r, eps, mu_hat, z, theta, errs: ReplicateErrors) -> Sandwi
     replicate axis, and B is a tuple of three (b,) arrays."""
     n = M.shape[1]
     pi = expit(-(z @ theta[..., None])[..., 0])
-    e = r * _tilt(eps, theta[:, -1], errs)
+    s = theta[:, -1:] * eps
+    check_mgf_range(s, errs, obs=r == 1)
+    e = r * np.exp(s)
+    del s  # a (b, n) array; freed before the score rows are formed
     A1, A2, A3, A4 = _A_matrices(M, r, z, pi)
     ee = eps * e
     B = (e.mean(axis=1), ee.mean(axis=1), (eps * ee).mean(axis=1))
     C1 = (e[:, None, :] @ M)[:, 0] / n
     C2 = (ee[:, None, :] @ M)[:, 0] / n
-    Shat, V = _score_rows_and_V(M, mu_hat, r, z, pi, eps, e, B)
-    return SandwichPieces(A1=A1, A2=A2, A3=A3, A4=A4, B=B, C1=C1, C2=C2, V=V, Shat=Shat)
+    S = _score_rows(M, mu_hat, r, z, pi, eps, e, B)
+    V = S.swapaxes(-1, -2) @ S / n
+    return SandwichPieces(A1=A1, A2=A2, A3=A3, A4=A4, B=B, C1=C1, C2=C2, V=V)
 
 
 def build_sandwich(
@@ -214,8 +169,8 @@ def build_sandwich(
     cfg: ModelConfig,
 ) -> SandwichPieces:
     """The A-matrices, B_k = n^-1 sum r eps^{k-1} e^{g eps} (k=1,2,3),
-    C_k = n^-1 sum r eps^{k-1} e^{g eps} M_i' (k=1,2), and the score rows
-    with V_hat: sandwich_batch with b = 1."""
+    C_k = n^-1 sum r eps^{k-1} e^{g eps} M_i' (k=1,2), and V_hat = n^-1 S'S
+    of the score rows: sandwich_batch with b = 1."""
     r, eps = _residual_rows(ds, outcome_fit)
     z = _z_matrix(ds, mu_hat, cfg)
     errs = ReplicateErrors(1)
@@ -229,7 +184,7 @@ def build_sandwich(
 
 def _map_pieces(pieces: SandwichPieces, fn) -> SandwichPieces:
     """The pieces with ``fn`` applied to every array and to each B_k."""
-    arrays = ("A1", "A2", "A3", "A4", "C1", "C2", "V", "Shat")
+    arrays = ("A1", "A2", "A3", "A4", "C1", "C2", "V")
     return SandwichPieces(
         B=tuple(fn(v) for v in pieces.B), **{f: fn(getattr(pieces, f)) for f in arrays}
     )

@@ -30,18 +30,13 @@ class TauEstimate:
     alpha0_hat: float
 
 
-@np.errstate(all="ignore")
-def mgf_batch(res: np.ndarray, t: np.ndarray, errs: ReplicateErrors, obs=None):
-    """(M1_hat(t), M2_hat(t), M2_hat(t) / M1_hat(t)) for b residual vectors
-    at once: res (b, k) and t (b,); with the mask ``obs`` (b, k), only its
-    entries count.  max(t * eps) is factored out so that the sums cannot
-    overflow, and the ratio is formed without either factor, so it stays
-    bounded even when the MGF itself would overflow a float."""
-    s = t[:, None] * res
+def check_mgf_range(s: np.ndarray, errs: ReplicateErrors, obs=None) -> None:
+    """The one overflow rule for e^{t eps}: replicate j of s = t * eps (b, k)
+    fails with MgfOverflowError when an entry (of the mask ``obs``, if
+    given) exceeds MGF_RANGE in absolute value."""
     bad = np.abs(s) > MGF_RANGE
     if obs is not None:
         bad &= obs
-        s = np.where(obs, s, -np.inf)
 
     def overflow(j):
         i = int(np.argmax(bad[j]))
@@ -52,6 +47,19 @@ def mgf_batch(res: np.ndarray, t: np.ndarray, errs: ReplicateErrors, obs=None):
         )
 
     errs.record(np.flatnonzero(bad.any(axis=1)), overflow)
+
+
+@np.errstate(all="ignore")
+def mgf_batch(res: np.ndarray, t: np.ndarray, errs: ReplicateErrors, obs=None):
+    """(M1_hat(t), M2_hat(t), M2_hat(t) / M1_hat(t)) for b residual vectors
+    at once: res (b, k) and t (b,); with the mask ``obs`` (b, k), only its
+    entries count.  max(t * eps) is factored out so that the sums cannot
+    overflow, and the ratio is formed without either factor, so it stays
+    bounded even when the MGF itself would overflow a float."""
+    s = t[:, None] * res
+    check_mgf_range(s, errs, obs)
+    if obs is not None:
+        s = np.where(obs, s, -np.inf)
     c = np.max(s, axis=1)
     w = np.exp(s - c[:, None])
     k = res.shape[1] if obs is None else obs.sum(axis=1)

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import expit
 
 from .data import BasisTerm, Dataset, ModelConfig, select_x1
-from .errors import MnarError, SingularDesignError, UsageError
+from .errors import MnarError, UsageError
 from .fitting import check_estimator_tag, fit_with_variance, point_estimate
 from .inference import wald_ci
 
@@ -348,8 +348,6 @@ def _study_rep(args):
             out[method] = run_method(method, ds, sc, tau0)
         except MnarError as exc:
             out[method] = exc.code
-        except np.linalg.LinAlgError:
-            out[method] = SingularDesignError.code
     return out
 
 

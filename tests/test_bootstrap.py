@@ -290,3 +290,30 @@ def test_kernel_errors_match_single_fits():
             assert abs(fits.tau[j] - tau.tau_hat) <= 1e-10 * max(1.0, abs(tau.tau_hat))
             assert abs(fits.sigma2_tau[j] - var.sigma2_tau) <= 1e-10 * var.sigma2_tau
     assert seen == {"SINGULAR", "SEPARATION"}
+
+
+def test_solver_linalg_error_is_a_singular_failure(monkeypatch):
+    """point_estimate raises a solver's LinAlgError as SingularDesignError, so
+    the percentile bootstrap and run_study count it under SINGULAR."""
+    from mnarmean import fitting
+    from mnarmean.errors import SingularDesignError
+    from mnarmean.simulate import run_study
+
+    solve_ipw, calls = fitting.solve_ipw, []
+
+    def flaky_ipw(*args):
+        calls.append(None)
+        if len(calls) in (1, 4, 9):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve_ipw(*args)
+
+    monkeypatch.setattr(fitting, "solve_ipw", flaky_ipw)
+    sc = example1(alpha0=-1.7, delta=0.0)
+    ds = generate_dataset(sc, 2000, seed=515)
+    with pytest.raises(SingularDesignError, match="Singular matrix"):
+        point_estimate("ipw", ds, sc.model_config())
+    boot = bootstrap_percentile_ci("ipw", ds, sc.model_config(), B=99, seed=515)
+    assert boot.failure_counts == {"SINGULAR": 2}
+    calls.clear()
+    rows = run_study(sc, 300, 3, ["ipw"], seed=1, tau0=2.0)
+    assert rows[0].ncr_reasons.get("SINGULAR") == 1

@@ -53,6 +53,24 @@ def test_fit_deterministic_bytes(cli_files):
     assert obj["bootstrap_successful"] + sum(counts.values()) == 100
 
 
+@pytest.mark.parametrize("variant", [None, "alternative", "derived"])
+def test_fit_reports_the_variant(cli_files, variant):
+    """The JSON names the H1 variant that gave sigma2_tau (printed by default)."""
+    from mnarmean.data import ModelConfig, parse_dataset
+    from mnarmean.fitting import fit_mean_response
+
+    root, data, cfg = cli_files
+    out = root / f"variant-{variant}.json"
+    flags = [] if variant is None else ["--variant", variant]
+    assert main(["fit", "--data", data, "--model-config", cfg, "--out", str(out)] + flags) == 0
+    obj = json.loads(out.read_text(encoding="utf-8"))
+    assert obj["schema_version"] == 1
+    assert obj["variant"] == (variant or "printed")
+    model = ModelConfig.from_json(open(cfg, encoding="utf-8").read())
+    res = fit_mean_response(parse_dataset(data), model, variant=obj["variant"])
+    assert obj["sigma2_tau"] == res.variance.sigma2_tau
+
+
 def test_fit_without_bootstrap_has_no_failure_counts(cli_files):
     root, data, cfg = cli_files
     out = root / "plain.json"

@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -82,6 +83,20 @@ def test_write_then_parse_roundtrip_without_covariates(tmp_path):
     assert np.array_equal(back.r, ds.r) and back.x.shape == (3, 0)
 
 
+#: a numeric cell inside its whitespace: an ASCII decimal or scientific
+#: number, or inf/nan, which the reader rejects as non-finite
+NUMBER = re.compile(
+    r"[+-]?((\d+\.?\d*|\.\d+)([eE][+-]?\d+)?|inf|infinity|nan)", re.ASCII | re.IGNORECASE
+)
+
+
+def _ref_number(cell):
+    text = cell.strip()
+    if not NUMBER.fullmatch(text):
+        raise ValueError(cell)
+    return float(text)
+
+
 def _reference_parse(path, y_col="y", x_cols=None, r_col=None):
     """The reference reader: csv.reader and one pass over the rows, checking
     and converting cell by cell; the first row with a defect is reported."""
@@ -119,7 +134,7 @@ def _reference_parse(path, y_col="y", x_cols=None, r_col=None):
         present = cell != ""
         if present:
             try:
-                y[i] = float(cell)
+                y[i] = _ref_number(cell)
             except ValueError:
                 raise ParseError(
                     f"{path}: malformed numeric cell at row {i + 1}, column '{y_col}'"
@@ -139,7 +154,7 @@ def _reference_parse(path, y_col="y", x_cols=None, r_col=None):
             r[i] = present
         for j, ci in enumerate(xi):
             try:
-                x[i, j] = float(row[ci].strip())
+                x[i, j] = _ref_number(row[ci])
             except ValueError:
                 raise ParseError(
                     f"{path}: malformed numeric cell at row {i + 1}, "
@@ -172,8 +187,9 @@ def _assert_same_parse(path, **kwargs):
     return got
 
 
-#: what a defect puts in a cell; "0" and "1" in the r column may contradict y
-CELL_DEFECTS = ["abc", "nan", "-inf", "", " ", "2", "0", "1"]
+#: what a defect puts in a cell; "0" and "1" in the r column may contradict y,
+#: and float alone would read the digit separator and the non-ASCII digits
+CELL_DEFECTS = ["abc", "nan", "-inf", "", " ", "2", "0", "1", "1_5", "\u0661", "\uff12.5"]
 ROW_DEFECTS = ["drop cell", "extra cell", "blank line"]
 
 
@@ -280,6 +296,10 @@ def test_parse_matches_reference_reader_at_100k_rows(tmp_path):
         (["1.0,oops,2"], {"r_col": "r"}, "r cell must be 0 or 1 at row 2, got '2'"),
         # a non-finite cell is reported only when no row has another defect
         (["1.0,inf", "1.0,0.2", "abc,0.3"], {}, "malformed numeric cell at row 4, column 'y'"),
+        # only ASCII decimal and scientific numbers, though float reads these
+        (["1_5,0.1", "2.0,0.2"], {}, "malformed numeric cell at row 2, column 'y'"),
+        (["1.0,0.1", "2.0,\u0661"], {}, "malformed numeric cell at row 3, column 'x1'"),
+        (["1.0,\xa0-2E+3 ", "2.0,\uff11"], {}, "malformed numeric cell at row 3, column 'x1'"),
     ],
 )
 def test_parse_reports_the_earliest_defect(tmp_path, rows, kwargs, message):

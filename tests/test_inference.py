@@ -4,13 +4,8 @@ import pytest
 from mnarmean.data import BasisTerm, Dataset, ModelConfig, build_design
 from mnarmean.errors import UsageError
 from mnarmean.fitting import fit_mean_response, fit_tau_only
-from mnarmean.inference import (
-    build_sandwich,
-    estimate_A_matrices,
-    estimate_sigma_tau,
-    wald_ci,
-)
-from mnarmean.propensity import score_and_hessian
+from mnarmean.inference import _score_rows, build_sandwich, estimate_sigma_tau, wald_ci
+from mnarmean.propensity import _z_matrix, score_and_hessian
 
 
 @pytest.fixture(scope="module")
@@ -24,9 +19,20 @@ def fitted(request):
     return sc, ds, cfg, res
 
 
+def _fit_score_rows(ds, cfg, dm, mu_hat, outcome, propensity, B):
+    """The score rows S_hat of a fit, with z, pi and the tilt e formed here."""
+    r = ds.r.astype(float)
+    eps = np.zeros(ds.n)
+    eps[ds.r == 1] = outcome.residuals
+    z = _z_matrix(ds, mu_hat, cfg)
+    pi = 1.0 / (1.0 + np.exp(z @ propensity.theta_hat))
+    e = r * np.exp(propensity.gamma_hat * eps)
+    return _score_rows(dm.M, mu_hat, r, z, pi, eps, e, B)
+
+
 def test_A2_equals_minus_hessian_over_n(fitted):
     _, ds, cfg, res = fitted
-    A1, A2, A3, A4 = estimate_A_matrices(ds, res.design, res.mu_hat, res.propensity, cfg)
+    A2 = res.pieces.A2
     _, hess = score_and_hessian(ds, res.mu_hat, res.propensity.theta_hat, cfg)
     assert np.allclose(A2, -hess / ds.n, rtol=0, atol=1e-12)
 
@@ -46,8 +52,12 @@ def test_score_block_column_means_vanish(fitted):
     _, ds, cfg, res = fitted
     q = cfg.q
     p = cfg.p
-    means = np.abs(res.pieces.Shat.mean(axis=0))
-    scale = np.abs(res.pieces.Shat).mean(axis=0)
+    Shat = _fit_score_rows(
+        ds, cfg, res.design, res.mu_hat, res.outcome, res.propensity, res.pieces.B
+    )
+    assert np.allclose(Shat.T @ Shat / ds.n, res.pieces.V, rtol=1e-10, atol=1e-12)
+    means = np.abs(Shat.mean(axis=0))
+    scale = np.abs(Shat).mean(axis=0)
     # S0, the xi-block, and the theta-block are exact estimating-equation
     # residuals; the remaining three columns are centered by construction
     norm = means / np.maximum(scale, 1.0)
@@ -60,7 +70,6 @@ def test_V_is_zero_for_single_row():
     cfg = ModelConfig(mean_basis=(BasisTerm((0,)),), x1_columns=(1,))
     dm = build_design(ds, cfg)
     # a single row makes every centered column identically zero
-    from mnarmean.inference import build_score_rows_and_V
     from mnarmean.outcome import OutcomeFit
     from mnarmean.propensity import PropensityFit
 
@@ -71,9 +80,12 @@ def test_V_is_zero_for_single_row():
         theta_hat=np.array([-40.0, 0.0, 0.0]), loglik=0.0, iterations=0,
         converged=True, gradient_norm=0.0,
     )
-    Shat, V = build_score_rows_and_V(ds, dm, np.array([1.0]), outc, prop, cfg, (1.0, 0.0, 0.0))
+    mu_hat = np.array([1.0])
+    pieces = build_sandwich(ds, dm, mu_hat, outc, prop, cfg)
+    assert pieces.B == (1.0, 0.0, 0.0)
+    Shat = _fit_score_rows(ds, cfg, dm, mu_hat, outc, prop, pieces.B)
     assert np.allclose(Shat, 0.0, atol=1e-12)
-    assert np.allclose(V, 0.0, atol=1e-12)
+    assert np.allclose(pieces.V, 0.0, atol=1e-12)
 
 
 def test_sigma_blocks_and_symmetry(fitted):
@@ -184,21 +196,9 @@ def _stacked_psi_mean(phi, ds, cfg, M):
     return psi.mean(axis=0)
 
 
-@pytest.mark.parametrize(
-    "scenario, delta, n, seed",
-    [("example1", 0.0, 2000, 515), ("example1", 1.0, 2000, 516),
-     ("example2", 0.0, 2000, 517), ("example1", 0.0, 500, 518)],
-)
-def test_derived_variance_is_generic_m_estimation_sandwich(scenario, delta, n, seed):
-    """The ``derived`` sigma2_tau equals the generic M-estimation sandwich
-    (Stefanski & Boos 2002): A is the central-difference Jacobian of the
-    mean stacked psi at phi_hat, D = A^-T grad tau and sigma2 = D' V D."""
-    from mnarmean import simulate
-
-    sc = getattr(simulate, scenario)(delta=delta)
-    ds = simulate.generate_dataset(sc, n, seed)
-    cfg = sc.model_config()
-    res = fit_mean_response(ds, cfg, variant="derived")
+def _generic_sandwich(ds, cfg, res):
+    """The central-difference Jacobian A of the mean stacked psi at phi_hat
+    and grad tau, for the generic M-estimation sandwich."""
     B1, B2, _ = res.pieces.B
     eta = res.tau.eta_hat
     phi = np.concatenate(
@@ -217,8 +217,54 @@ def test_derived_variance_is_generic_m_estimation_sandwich(scenario, delta, n, s
     grad_tau = np.zeros(phi.size)
     grad_tau[0] = -B2 / B1
     grad_tau[-3:] = [1.0, -(1.0 - eta) * B2 / B1**2, (1.0 - eta) / B1]
+    return A, grad_tau
+
+
+@pytest.mark.parametrize(
+    "scenario, delta, n, seed",
+    [("example1", 0.0, 2000, 515), ("example1", 1.0, 2000, 516),
+     ("example2", 0.0, 2000, 517), ("example1", 0.0, 500, 518)],
+)
+def test_derived_variance_is_generic_m_estimation_sandwich(scenario, delta, n, seed):
+    """The ``derived`` sigma2_tau equals the generic M-estimation sandwich
+    (Stefanski & Boos 2002): A is the central-difference Jacobian of the
+    mean stacked psi at phi_hat, D = A^-T grad tau and sigma2 = D' V D."""
+    from mnarmean import simulate
+
+    sc = getattr(simulate, scenario)(delta=delta)
+    ds = simulate.generate_dataset(sc, n, seed)
+    cfg = sc.model_config()
+    res = fit_mean_response(ds, cfg, variant="derived")
+    A, grad_tau = _generic_sandwich(ds, cfg, res)
     D = np.linalg.solve(A.T, grad_tau)
     sigma2 = D @ res.pieces.V @ D
     assert res.variance.sigma2_tau == pytest.approx(sigma2, rel=1e-8)
     # the A-matrices are minus the Jacobian, so D_hat is -D
+    assert np.allclose(res.variance.D, -D, rtol=0, atol=1e-7 * np.abs(D).max())
+
+
+@pytest.mark.parametrize("extra", [(0, 2), (1, 1)])
+def test_derived_variance_drops_a_jacobian_term_when_q_exceeds_p(extra):
+    """With a fourth basis term (x2^2 or x1 x2), q = 4 > p = 3.  ``derived``
+    then equals the generic sandwich only after the theta-xi Jacobian block
+    drops e_p n^-1 sum (r_i - pi_i) M_i', the derivative of the gamma score
+    through mu_hat in z.  That term vanishes when span(M) = span(1, x1,
+    mu_hat), as when q = p, and is O_p(n^-1/2) otherwise."""
+    from mnarmean.simulate import example1, generate_dataset
+
+    sc = example1(delta=0.0)
+    cfg = ModelConfig(mean_basis=sc.mean_basis + (BasisTerm(extra),), x1_columns=sc.x1_columns)
+    ds = generate_dataset(sc, 2000, 515)
+    res = fit_mean_response(ds, cfg, variant="derived")
+    q, p = cfg.q, cfg.p
+    A, grad_tau = _generic_sandwich(ds, cfg, res)
+    z = _z_matrix(ds, res.mu_hat, cfg)
+    pi = 1.0 / (1.0 + np.exp(z @ res.propensity.theta_hat))
+    term = ((ds.r - pi)[:, None] * res.design.M).mean(axis=0)
+    assert np.abs(term).max() > 1e-4
+    kept = np.linalg.solve(A.T, grad_tau)
+    assert abs(kept @ res.pieces.V @ kept / res.variance.sigma2_tau - 1.0) > 1e-4
+    A[q + p, 1 : 1 + q] -= term
+    D = np.linalg.solve(A.T, grad_tau)
+    assert res.variance.sigma2_tau == pytest.approx(D @ res.pieces.V @ D, rel=1e-8)
     assert np.allclose(res.variance.D, -D, rtol=0, atol=1e-7 * np.abs(D).max())
