@@ -19,7 +19,7 @@ from .errors import (
     UsageError,
 )
 from .fitting import fit_replicates, fit_with_variance, point_estimate
-from .inference import ConfidenceInterval
+from .inference import ConfidenceInterval, check_level
 
 FAILURE_TOLERANCE = 0.05
 
@@ -106,6 +106,7 @@ def bootstrap_t_ci(
 ) -> BootstrapResult:
     """Studentized bootstrap: the normal quantiles of the Wald CI are replaced
     by empirical quantiles of t* = sqrt(n) (tau* - tau_hat) / sigma_tau*."""
+    check_level(level)
     n = ds.n
 
     def fit(sample):
@@ -147,6 +148,7 @@ def bootstrap_percentile_ci(
     ``normal_plugin`` resamples are fitted together by ``fit_replicates``;
     the others one at a time.  A resample whose fit does not converge is a
     NONCONVERGENCE failure."""
+    check_level(level)
 
     def fit(sample):
         return point_estimate(estimator_tag, sample, cfg)[0]

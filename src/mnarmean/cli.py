@@ -110,6 +110,14 @@ def cmd_simulate(args) -> int:
         sc, args.n, args.reps, methods, seed=args.seed,
         tau0=truth["tau0"], threads=args.threads,
     )
+    # every study runs before any output is written, so a usage error
+    # leaves only its error JSON on stdout
+    if args.coverage:
+        cov = run_coverage_study(
+            sc, args.n, args.reps, ci_method=args.coverage, level=args.level,
+            seed=args.seed, boot_b=args.bootstrap, tau0=truth["tau0"],
+            threads=args.threads,
+        )
     lines = [["method", "rb_percent", "mse_x100", "ncr", "n_reps"]]
     for row in rows:
         lines.append(
@@ -134,13 +142,7 @@ def cmd_simulate(args) -> int:
         "ncr_reasons": {row.method: row.ncr_reasons for row in rows},
     }
     if args.coverage:
-        cov = run_coverage_study(
-            sc, args.n, args.reps, ci_method=args.coverage, level=args.level,
-            seed=args.seed, boot_b=args.bootstrap, tau0=truth["tau0"],
-            threads=args.threads,
-        )
-        sidecar["coverage_percent"] = cov["coverage_percent"]
-        sidecar["mean_width"] = cov["mean_width"]
+        sidecar.update({k: cov[k] for k in ("coverage_percent", "mean_width", "failure_counts")})
     if args.truth_json:
         _write_json(sidecar, args.truth_json)
     return 0
@@ -260,7 +262,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except MnarError as exc:
+    except (MnarError, UsageError) as exc:
         _write_json({"error": exc.code, "message": str(exc)}, None)
         return 2
     except OSError as exc:

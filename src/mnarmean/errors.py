@@ -45,7 +45,9 @@ class DegenerateDataError(MnarError):
     code = "DEGENERATE"
 
 
-class UsageError(MnarError):
+class UsageError(Exception):
+    """A wrong argument: not an MnarError, so never counted as a failed fit."""
+
     code = "USAGE"
 
 

@@ -282,13 +282,18 @@ def estimate_sigma_tau(
     )
 
 
+def check_level(level: float) -> None:
+    """Raise UsageError unless the confidence level lies in (0, 1)."""
+    if not 0.0 < level < 1.0:
+        raise UsageError(f"confidence level must lie in (0, 1), got {level}")
+
+
 def wald_ci(
     tau_hat: float, sigma2_tau: float, n: int, level: float = 0.95
 ) -> ConfidenceInterval:
     """tau_hat +- z_{1-a/2} sqrt(sigma2_tau / n); the /sqrt(n) rescaling puts
     the sqrt(n)-normalized limit variance back on the data scale."""
-    if not 0.0 < level < 1.0:
-        raise UsageError(f"confidence level must lie in (0, 1), got {level}")
+    check_level(level)
     if sigma2_tau < 0 or n < 1:
         raise UsageError("sigma2_tau must be >= 0 and n >= 1")
     zq = norm.ppf(1.0 - (1.0 - level) / 2.0)

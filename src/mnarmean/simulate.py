@@ -14,11 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
+from scipy.stats import norm
 
 from .data import BasisTerm, Dataset, ModelConfig, select_x1
-from .errors import MnarError, UsageError
+from .bootstrap import bootstrap_t_ci
+from .errors import MnarError, SingularDesignError, UsageError
 from .fitting import check_estimator_tag, fit_with_variance, point_estimate
-from .inference import wald_ci
+from .inference import H1_VARIANTS, check_level, wald_ci
 
 NCR_TAU_RANGE = (-10.0, 10.0)
 NCR_GAMMA_RANGE = (-3.0, 3.0)
@@ -28,29 +30,18 @@ class GaussianMixture:
     """Finite normal mixture with closed-form MGF moments."""
 
     def __init__(self, components):
-        comps = [(float(w), float(m), float(s2)) for (w, m, s2) in components]
-        if not comps:
+        self.components = tuple((float(w), float(m), float(s2)) for (w, m, s2) in components)
+        if not self.components:
             raise UsageError("mixture needs at least one component")
-        w = np.array([c[0] for c in comps])
-        if (w <= 0).any():
+        self.weights, self.means, self.variances = map(np.array, zip(*self.components))
+        for arr in (self.weights, self.means, self.variances):
+            arr.flags.writeable = False
+        if (self.weights <= 0).any():
             raise UsageError("mixture weights must be positive")
-        if abs(w.sum() - 1.0) > 1e-10:
-            raise UsageError(f"mixture weights sum to {w.sum()}, expected 1")
-        if any(c[2] <= 0 for c in comps):
+        if abs(self.weights.sum() - 1.0) > 1e-10:
+            raise UsageError(f"mixture weights sum to {self.weights.sum()}, expected 1")
+        if (self.variances <= 0).any():
             raise UsageError("mixture variances must be positive")
-        self.components = tuple(comps)
-
-    @property
-    def weights(self):
-        return np.array([c[0] for c in self.components])
-
-    @property
-    def means(self):
-        return np.array([c[1] for c in self.components])
-
-    @property
-    def variances(self):
-        return np.array([c[2] for c in self.components])
 
     @property
     def mean(self) -> float:
@@ -71,19 +62,11 @@ class GaussianMixture:
         w, m, s2 = self.weights, self.means, self.variances
         return float(np.sum(w * (m + t * s2) * np.exp(t * m + t**2 * s2 / 2.0)))
 
-    def m3(self, t: float) -> float:
-        """E eps^2 e^{t eps}."""
-        w, m, s2 = self.weights, self.means, self.variances
-        mm = m + t * s2
-        return float(np.sum(w * (mm**2 + s2) * np.exp(t * m + t**2 * s2 / 2.0)))
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         k = rng.choice(len(self.components), size=size, p=self.weights)
         return rng.normal(self.means[k], np.sqrt(self.variances[k]))
 
     def cdf(self, x) -> np.ndarray:
-        from scipy.stats import norm
-
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
         for w, m, s2 in self.components:
@@ -340,7 +323,7 @@ def run_method(method: str, ds: Dataset, sc: Scenario, tau0: float):
 def _study_rep(args):
     """One replication: {method: (tau_hat, gamma_hat, converged), or the
     code of the MnarError raised}."""
-    sc, n, methods, tau0, child_seed = args
+    sc, n, tau0, child_seed, methods = args
     ds = generate_dataset(sc, n, child_seed)
     out = {}
     for method in methods:
@@ -358,6 +341,20 @@ def _parallel_map(fn, items, threads: int):
         return list(pool.map(fn, items, chunksize=8))
 
 
+def _replicate(fn, args, sc, n, reps, seed, tau0, truth_draws, threads):
+    """The replication driver of both studies: maps ``fn`` over
+    (sc, n, tau0, child seed, *args), one child of SeedSequence(seed) per
+    replication, with tau0 from ``compute_truth`` when it is None.  Returns
+    tau0 and the results; a replication returns the code of an MnarError,
+    so any other error, a UsageError among them, ends the study."""
+    if reps < 1:
+        raise UsageError("reps must be >= 1")
+    if tau0 is None:
+        tau0 = compute_truth(sc, truth_draws, seed=np.random.SeedSequence((int(seed), 1)))["tau0"]
+    children = np.random.SeedSequence(int(seed)).spawn(reps)
+    return tau0, _parallel_map(fn, [(sc, n, tau0, s, *args) for s in children], threads)
+
+
 def run_study(
     sc: Scenario,
     n: int,
@@ -369,20 +366,15 @@ def run_study(
     threads: int = 1,
 ) -> list[StudyRow]:
     """RB/MSE/NCR study.  RB and MSE are computed over non-NCR cases only;
-    failures of any kind count as NCR and never abort the study, but an
-    unknown method tag raises UsageError before any replication."""
-    if reps < 1:
-        raise UsageError("reps must be >= 1")
+    failed fits count as NCR and never abort the study, but an unknown
+    method tag raises UsageError before any replication, and a tag that a
+    fit rejects, such as ``gmm1`` on one covariate, raises it from the
+    first replication."""
     for method in methods:
         if method != "oracle":
             check_estimator_tag(method)
-    if tau0 is None:
-        tau0 = compute_truth(
-            sc, truth_draws, seed=np.random.SeedSequence((int(seed), 1))
-        )["tau0"]
-    children = np.random.SeedSequence(int(seed)).spawn(reps)
-    results = _parallel_map(
-        _study_rep, [(sc, n, tuple(methods), tau0, s) for s in children], threads
+    tau0, results = _replicate(
+        _study_rep, (tuple(methods),), sc, n, reps, seed, tau0, truth_draws, threads
     )
     rows = []
     for method in methods:
@@ -394,42 +386,32 @@ def run_study(
                 taus.append(res[method][0])
             else:
                 reasons[reason] = reasons.get(reason, 0) + 1
-        ncr = sum(reasons.values())
-        taus = np.asarray(taus)
-        if taus.size:
-            rb = 100.0 * float(np.mean(taus - tau0)) / tau0
-            mse = 100.0 * float(np.mean((taus - tau0) ** 2))
-        else:
-            rb = np.nan
-            mse = np.nan
-        rows.append(
-            StudyRow(
-                method=method, rb_percent=rb, mse_x100=mse, ncr=ncr, n_reps=reps,
-                ncr_reasons=reasons,
-            )
-        )
+        err = np.asarray(taus) - tau0
+        rb = 100.0 * float(np.mean(err)) / tau0 if err.size else np.nan
+        mse = 100.0 * float(np.mean(err**2)) if err.size else np.nan
+        rows.append(StudyRow(method, rb, mse, sum(reasons.values()), reps, reasons))
     return rows
 
 
 def _coverage_rep(args):
-    sc, n, ci_method, level, boot_b, variant, child_seed = args
-    from .bootstrap import bootstrap_t_ci  # local import to avoid a cycle
-
+    """One replication: (lower, upper) of its interval, or the code of the
+    MnarError raised, with a LinAlgError counted as SINGULAR."""
+    sc, n, _, child_seed, ci_method, level, boot_b, variant = args
     ds = generate_dataset(sc, n, child_seed)
     cfg = sc.model_config()
     try:
         if ci_method == "wald":
             tau, _, var = fit_with_variance(ds, cfg, variant)
             ci = wald_ci(tau.tau_hat, var.sigma2_tau, ds.n, level)
-        elif ci_method == "bootstrap_t":
+        else:
             boot_seed = int(child_seed.generate_state(1)[0])
             ci = bootstrap_t_ci(
                 ds, cfg, level=level, B=boot_b, seed=boot_seed, variant=variant
             ).ci
-        else:
-            raise UsageError(f"unknown CI method {ci_method!r}")
-    except (MnarError, np.linalg.LinAlgError):
-        return None
+    except MnarError as exc:
+        return exc.code
+    except np.linalg.LinAlgError:
+        return SingularDesignError.code
     return ci.lower, ci.upper
 
 
@@ -446,30 +428,33 @@ def run_coverage_study(
     variant: str = "printed",
     threads: int = 1,
 ) -> dict:
-    if reps < 1:
-        raise UsageError("reps must be >= 1")
-    if tau0 is None:
-        tau0 = compute_truth(sc, truth_draws, seed=np.random.SeedSequence((int(seed), 1)))["tau0"]
-    children = np.random.SeedSequence(int(seed)).spawn(reps)
-    results = _parallel_map(
-        _coverage_rep,
-        [(sc, n, ci_method, level, boot_b, variant, s) for s in children],
-        threads,
+    """Coverage of tau0 by the ``wald`` or ``bootstrap_t`` interval.  A
+    replication whose fit fails is left out of the coverage and the mean
+    width, and ``failure_counts`` counts it by error code; its counts sum to
+    ``n_failures``.  A wrong argument raises UsageError."""
+    check_level(level)
+    if ci_method not in ("wald", "bootstrap_t"):
+        raise UsageError(f"unknown CI method {ci_method!r}")
+    if variant not in H1_VARIANTS:
+        raise UsageError(f"unknown H1 variant {variant!r}; use one of {H1_VARIANTS}")
+    tau0, results = _replicate(
+        _coverage_rep, (ci_method, level, boot_b, variant), sc, n, reps, seed, tau0,
+        truth_draws, threads,
     )
     covered = 0
     widths = []
-    failures = 0
+    failures: dict = {}
     for res in results:
-        if res is None:
-            failures += 1
+        if isinstance(res, str):
+            failures[res] = failures.get(res, 0) + 1
             continue
         lo, hi = res
         covered += int(lo <= tau0 <= hi)
         widths.append(hi - lo)
-    ok = reps - failures
     return {
-        "coverage_percent": 100.0 * covered / ok if ok else np.nan,
+        "coverage_percent": 100.0 * covered / len(widths) if widths else np.nan,
         "mean_width": float(np.mean(widths)) if widths else np.nan,
-        "n_failures": failures,
+        "n_failures": sum(failures.values()),
+        "failure_counts": failures,
         "tau0": tau0,
     }

@@ -70,6 +70,23 @@ def test_b_floor(boot_data):
         bootstrap_percentile_ci("proposed", ds, cfg, B=50)
 
 
+@pytest.mark.parametrize("level", [1.5, 0.0, 1.0, float("nan")])
+@pytest.mark.parametrize("interval", ["t", "percentile"])
+def test_level_is_checked_before_fitting(monkeypatch, boot_data, interval, level):
+    import mnarmean.bootstrap as bs
+
+    def no_fits(*args):
+        raise AssertionError("a fit ran")
+
+    monkeypatch.setattr(bs, "_resample", no_fits)
+    ds, cfg = boot_data
+    with pytest.raises(UsageError, match="confidence level must lie in"):
+        if interval == "t":
+            bootstrap_t_ci(ds, cfg, level=level, B=99)
+        else:
+            bootstrap_percentile_ci("proposed", ds, cfg, level=level, B=99)
+
+
 @pytest.mark.parametrize("interval", ["t", "percentile"])
 def test_failure_tolerance_enforced(monkeypatch, interval):
     """If more than 5% of resamples fail, the whole CI must error out rather

@@ -194,6 +194,37 @@ def test_simulate_reps_zero_usage_error(capsys):
     assert json.loads(capsys.readouterr().out)["error"] == "USAGE"
 
 
+@pytest.mark.parametrize("extra", [
+    pytest.param(["--methods", "gmm0"], id="gmm0"),
+    pytest.param(["--coverage", "wald", "--level", "1.5"], id="wald-level"),
+    pytest.param(["--coverage", "bootstrap_t", "--bootstrap", "99", "--level", "1.5"],
+                 id="bootstrap_t-level"),
+    pytest.param(["--coverage", "bootstrap_t", "--bootstrap", "50"], id="bootstrap_t-B"),
+])
+def test_simulate_usage_error_writes_only_the_error(capsys, extra):
+    """Every study runs before any output, so a usage error leaves stdout
+    with its error JSON alone."""
+    rc = main([
+        "simulate", "--scenario", "example1", "--n", "100", "--reps", "2",
+        "--truth-draws", "1000", *extra,
+    ])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "USAGE"
+
+
+def test_simulate_sidecar_reports_coverage_failure_counts(cli_files):
+    root, _, _ = cli_files
+    sidecar = root / "coverage.json"
+    assert main([
+        "simulate", "--scenario", "section2", "--n", "25", "--reps", "8",
+        "--seed", "5", "--truth-draws", "1000", "--coverage", "wald",
+        "--out-csv", str(root / "coverage.csv"), "--truth-json", str(sidecar),
+    ]) == 0
+    counts = json.loads(sidecar.read_text(encoding="utf-8"))["failure_counts"]
+    assert sum(counts.values()) > 0
+    assert "USAGE" not in counts
+
+
 def test_profile_gamma_csv(cli_files):
     root, data, cfg = cli_files
     out = root / "prof.csv"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_1samp
 
-from mnarmean.errors import UsageError
+from mnarmean.errors import MnarError, UsageError
 from mnarmean.simulate import (
     ErrorLaw,
     GaussianMixture,
@@ -179,6 +179,64 @@ def test_run_study_rejects_unknown_method_before_replicating(monkeypatch):
     sc = example1(alpha0=-1.7, delta=0.0)
     with pytest.raises(UsageError, match="unknown estimator tag 'propsed'"):
         run_study(sc, 200, 3, ["proposed", "propsed"], seed=1, tau0=2.177)
+
+
+def test_usage_error_is_not_an_mnar_error():
+    """A wrong argument is never counted as a failed fit."""
+    assert not issubclass(UsageError, MnarError)
+    assert UsageError.code == "USAGE"
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("scenario, method", [(example1, "gmm0"), (example2, "gmm1")])
+def test_run_study_raises_for_a_tag_the_fit_rejects(scenario, method, threads):
+    """gmm<k> with fewer basis functions than dim(theta) is a usage error,
+    not an NCR of every replication."""
+    with pytest.raises(UsageError, match="fewer than dim"):
+        run_study(scenario(), 200, 3, ["proposed", method], seed=1, tau0=2.177, threads=threads)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("kwargs, message", [
+    pytest.param(dict(ci_method="bogus"), "unknown CI method", id="ci_method"),
+    pytest.param(dict(variant="bogus"), "unknown H1 variant", id="variant"),
+    pytest.param(dict(level=1.5), "confidence level", id="level"),
+    pytest.param(dict(ci_method="bootstrap_t", boot_b=50), "B must be >= 99", id="boot_b"),
+])
+def test_run_coverage_study_raises_usage_errors(kwargs, message, threads):
+    with pytest.raises(UsageError, match=message):
+        run_coverage_study(example1(), 100, 3, seed=2, tau0=2.177, threads=threads, **kwargs)
+
+
+def test_coverage_failure_counts_sum_to_n_failures():
+    out = run_coverage_study(
+        example1(), 30, 40, seed=3, tau0=2.177, ci_method="bootstrap_t", boot_b=99
+    )
+    assert out["n_failures"] > 0
+    assert sum(out["failure_counts"].values()) == out["n_failures"]
+    assert all(count > 0 for count in out["failure_counts"].values())
+    assert "USAGE" not in out["failure_counts"]
+
+
+def test_coverage_linalg_error_is_a_singular_failure(monkeypatch):
+    import mnarmean.simulate as sim
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(sim, "fit_with_variance", singular)
+    out = run_coverage_study(example1(), 100, 4, seed=4, tau0=2.177)
+    assert out["failure_counts"] == {"SINGULAR": 4}
+    assert out["n_failures"] == 4
+    assert np.isnan(out["coverage_percent"])
+
+
+def test_mixture_parameters_are_read_only():
+    law = ErrorLaw.delta_mixture(1.0)
+    assert law.weights.tolist() == [2.0 / 3.0, 1.0 / 3.0]
+    assert law.means.tolist() == [-1.0, 2.0]
+    with pytest.raises(ValueError):
+        law.means[0] = 5.0
 
 
 def test_run_study_thread_invariance():
