@@ -28,13 +28,7 @@ from .inference import (
 from .ipw import GammaProfile, IpwFit, monomial_basis, profile_gamma, solve_gmm, solve_ipw
 from .mean_response import TauEstimate, empirical_mgf, estimate_tau, estimate_tau_normal_plugin
 from .outcome import OutcomeFit, fit_least_squares, predict_mu
-from .propensity import (
-    PropensityFit,
-    fit_propensity,
-    log_conditional_likelihood,
-    recover_alpha0,
-    score_and_hessian,
-)
+from .propensity import PropensityFit, fit_propensity
 from .simulate import (
     ErrorLaw,
     GaussianMixture,

@@ -16,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
-from scipy.stats import norm
+from scipy.special import expit, ndtri
 
 from .data import Dataset, DesignMatrices, ModelConfig
 from .errors import (
@@ -294,9 +293,9 @@ def wald_ci(
     """tau_hat +- z_{1-a/2} sqrt(sigma2_tau / n); the /sqrt(n) rescaling puts
     the sqrt(n)-normalized limit variance back on the data scale."""
     check_level(level)
-    if sigma2_tau < 0 or n < 1:
+    if not sigma2_tau >= 0 or n < 1:
         raise UsageError("sigma2_tau must be >= 0 and n >= 1")
-    zq = norm.ppf(1.0 - (1.0 - level) / 2.0)
+    zq = ndtri(1.0 - (1.0 - level) / 2.0)
     half = zq * np.sqrt(sigma2_tau / n)
     return ConfidenceInterval(
         lower=float(tau_hat - half),

@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .data import Dataset, DesignMatrices
 from .errors import DegenerateDataError, ReplicateErrors, SingularDesignError
@@ -28,6 +27,8 @@ class OutcomeFit:
 def _dependent_columns(Mc: np.ndarray) -> list[int]:
     """Columns of the complete-case design that column-pivoted QR finds
     linearly dependent on the others (empty when Mc has full column rank)."""
+    import scipy.linalg  # deferred: only rank-unclear fits pay its import
+
     R, piv = scipy.linalg.qr(Mc, mode="r", pivoting=True)
     diag = np.abs(np.diag(R))
     rank = int((diag > RANK_TOL * diag[0]).sum()) if diag[0] > 0 else 0

@@ -84,28 +84,19 @@ def _score_hessian(r, zt, theta, hessian=True):
 
 
 def log_conditional_likelihood_z(r, z, theta) -> float:
+    """l_n(theta, xi_hat) = sum r log(pi) + (1-r) log(1-pi), stabilized, for
+    z (n, p) as from _z_matrix."""
     return float(_loglik(np.asarray(r)[None], z.T[None], np.asarray(theta, float)[None])[0])
 
 
-def log_conditional_likelihood(
-    ds: Dataset, mu_hat: np.ndarray, theta: np.ndarray, cfg: ModelConfig
-) -> float:
-    """l_n(theta, xi_hat) = sum r log(pi) + (1-r) log(1-pi), stabilized."""
-    return log_conditional_likelihood_z(ds.r, _z_matrix(ds, mu_hat, cfg), theta)
-
-
 def score_and_hessian_z(r, z, theta):
+    """Estimating-function convention: score = sum (r_i - pi_i) z_i, which is
+    the NEGATIVE gradient of l_n under this model's sign convention; the
+    returned hessian -sum pi(1-pi) z z' is the hessian of l_n."""
     score, hessian = _score_hessian(
         np.asarray(r)[None], z.T[None], np.asarray(theta, float)[None]
     )
     return score[0], hessian[0]
-
-
-def score_and_hessian(ds: Dataset, mu_hat: np.ndarray, theta: np.ndarray, cfg: ModelConfig):
-    """Estimating-function convention: score = sum (r_i - pi_i) z_i, which is
-    the NEGATIVE gradient of l_n under this model's sign convention; the
-    returned hessian -sum pi(1-pi) z z' is the hessian of l_n."""
-    return score_and_hessian_z(ds.r, _z_matrix(ds, mu_hat, cfg), theta)
 
 
 def propensity_probabilities(
@@ -213,18 +204,10 @@ def fit_propensity(ds: Dataset, mu_hat: np.ndarray, cfg: ModelConfig) -> Propens
 
 @np.errstate(all="ignore")
 def alpha0_batch(alpha: np.ndarray, m1: np.ndarray, errs: ReplicateErrors) -> np.ndarray:
-    """alpha0 = alpha - log M1(gamma) for b fits at once."""
+    """alpha0 = alpha - log M1(gamma) for b fits at once: undo the
+    tilt-normalizer absorbed into the induced model's intercept."""
     errs.record(
         np.flatnonzero(~(m1 > 0)),
         lambda j: DegenerateDataError(f"M1(gamma) must be positive, got {m1[j]}"),
     )
     return alpha - np.log(m1)
-
-
-def recover_alpha0(fit: PropensityFit, m1_at_gamma: float) -> float:
-    """alpha0 = alpha - log M1(gamma): undo the tilt-normalizer absorbed into
-    the induced model's intercept."""
-    errs = ReplicateErrors(1)
-    alpha0 = alpha0_batch(np.array([fit.alpha_hat]), np.array([m1_at_gamma]), errs)
-    errs.raise_first()
-    return float(alpha0[0])

@@ -13,8 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
-from scipy.stats import norm
+from scipy.special import expit, ndtr
 
 from .data import BasisTerm, Dataset, ModelConfig, select_x1
 from .bootstrap import bootstrap_t_ci
@@ -70,7 +69,7 @@ class GaussianMixture:
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
         for w, m, s2 in self.components:
-            out += w * norm.cdf(x, loc=m, scale=np.sqrt(s2))
+            out += w * ndtr((x - m) / np.sqrt(s2))
         return out
 
 

@@ -5,7 +5,7 @@ from mnarmean.data import BasisTerm, Dataset, ModelConfig, build_design
 from mnarmean.errors import UsageError
 from mnarmean.fitting import fit_mean_response, fit_tau_only
 from mnarmean.inference import _score_rows, build_sandwich, estimate_sigma_tau, wald_ci
-from mnarmean.propensity import _z_matrix, score_and_hessian
+from mnarmean.propensity import _z_matrix, score_and_hessian_z
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +33,8 @@ def _fit_score_rows(ds, cfg, dm, mu_hat, outcome, propensity, B):
 def test_A2_equals_minus_hessian_over_n(fitted):
     _, ds, cfg, res = fitted
     A2 = res.pieces.A2
-    _, hess = score_and_hessian(ds, res.mu_hat, res.propensity.theta_hat, cfg)
+    z = _z_matrix(ds, res.mu_hat, cfg)
+    _, hess = score_and_hessian_z(ds.r, z, res.propensity.theta_hat)
     assert np.allclose(A2, -hess / ds.n, rtol=0, atol=1e-12)
 
 
@@ -162,6 +163,8 @@ def test_wald_ci_width_and_validation():
         wald_ci(1.0, 4.0, 100, level=1.5)
     with pytest.raises(UsageError):
         wald_ci(1.0, -1.0, 100)
+    with pytest.raises(UsageError):
+        wald_ci(1.0, float("nan"), 100)
 
 
 def test_overflowing_tilt_is_overflow_error(fitted):

@@ -3,14 +3,15 @@ import pytest
 from scipy.special import expit
 
 from mnarmean.data import BasisTerm, Dataset, ModelConfig, build_design
-from mnarmean.errors import DegenerateDataError, SeparationError
+from mnarmean.errors import DegenerateDataError, ReplicateErrors, SeparationError
 from mnarmean.outcome import fit_least_squares, predict_mu
 from mnarmean.propensity import (
     SCORE_TOL,
+    _z_matrix,
+    alpha0_batch,
     fit_propensity,
-    log_conditional_likelihood,
-    recover_alpha0,
-    score_and_hessian,
+    log_conditional_likelihood_z,
+    score_and_hessian_z,
 )
 
 from conftest import mar_dataset
@@ -42,7 +43,8 @@ def test_score_matches_finite_differences():
         ds = Dataset(r=r, y=y, x=x)
         cfg = ModelConfig(mean_basis=(BasisTerm((0, 0)),), x1_columns=(1,))
         theta = rng.normal(scale=0.5, size=3)
-        score, _ = score_and_hessian(ds, mu_hat, theta, cfg)
+        z = _z_matrix(ds, mu_hat, cfg)
+        score, _ = score_and_hessian_z(ds.r, z, theta)
         h = 1e-6
         fd = np.empty(3)
         for j in range(3):
@@ -50,8 +52,8 @@ def test_score_matches_finite_differences():
             tp[j] += h
             tm[j] -= h
             fd[j] = (
-                log_conditional_likelihood(ds, mu_hat, tp, cfg)
-                - log_conditional_likelihood(ds, mu_hat, tm, cfg)
+                log_conditional_likelihood_z(ds.r, z, tp)
+                - log_conditional_likelihood_z(ds.r, z, tm)
             ) / (2 * h)
         # score is the estimating function sum z (r - pi) = -grad l_n
         rel = np.linalg.norm(score + fd) / max(np.linalg.norm(fd), 1.0)
@@ -65,14 +67,14 @@ def test_loglik_nonpositive_and_improves():
     assert fit.loglik <= 0.0
     theta0 = np.zeros(3)
     theta0[0] = np.log((ds.n - ds.n_observed) / ds.n_observed)
-    assert fit.loglik >= log_conditional_likelihood(ds, mu_hat, theta0, cfg)
+    assert fit.loglik >= log_conditional_likelihood_z(ds.r, _z_matrix(ds, mu_hat, cfg), theta0)
 
 
 def test_convergence_flag_matches_score_norm():
     ds, mu_hat, cfg = _fit_inputs(seed=1)
     fit = fit_propensity(ds, mu_hat, cfg)
     assert fit.converged
-    score, _ = score_and_hessian(ds, mu_hat, fit.theta_hat, cfg)
+    score, _ = score_and_hessian_z(ds.r, _z_matrix(ds, mu_hat, cfg), fit.theta_hat)
     assert np.max(np.abs(score)) < SCORE_TOL
     assert fit.gradient_norm < SCORE_TOL
 
@@ -104,27 +106,15 @@ def test_recovers_truth_on_synthetic_induced_model():
     assert np.allclose(fit.theta_hat, theta_true, atol=0.05)
 
 
-def test_recover_alpha0_examples():
-    ds, mu_hat, cfg = _fit_inputs(seed=3)
-    fit = fit_propensity(ds, mu_hat, cfg)
-    shifted = fit.__class__(
-        theta_hat=np.array([-1.2, 0.0, 0.0]),
-        loglik=fit.loglik,
-        iterations=fit.iterations,
-        converged=True,
-        gradient_norm=fit.gradient_norm,
+def test_alpha0_batch_examples():
+    errs = ReplicateErrors(4)
+    alpha0 = alpha0_batch(
+        np.array([-1.2, 0.0, -1.2, 0.3]), np.array([np.exp(0.5), 2.0, 0.0, np.nan]), errs
     )
-    assert recover_alpha0(shifted, np.exp(0.5)) == pytest.approx(-1.7)
-    shifted0 = shifted.__class__(
-        theta_hat=np.array([0.0, 0.0, 0.0]),
-        loglik=fit.loglik,
-        iterations=fit.iterations,
-        converged=True,
-        gradient_norm=fit.gradient_norm,
-    )
-    assert recover_alpha0(shifted0, 2.0) == pytest.approx(-np.log(2.0))
+    assert alpha0[:2] == pytest.approx([-1.7, -np.log(2.0)])
+    assert errs.ok.tolist() == [True, True, False, False]
     with pytest.raises(DegenerateDataError):
-        recover_alpha0(shifted, 0.0)
+        errs.raise_first()
 
 
 def test_all_equal_indicators_degenerate():

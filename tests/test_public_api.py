@@ -11,9 +11,9 @@ PUBLIC_NAMES = [
     "diagnostics", "empirical_mgf", "errors", "estimate_sigma_tau", "estimate_tau",
     "estimate_tau_normal_plugin", "example1", "example2", "fit_least_squares",
     "fit_mean_response", "fit_propensity", "fit_tau_only", "fitting", "generate_dataset",
-    "inference", "ipw", "log_conditional_likelihood", "mean_response", "monomial_basis",
+    "inference", "ipw", "mean_response", "monomial_basis",
     "ncv_score_test", "outcome", "parse_dataset", "predict_mu", "profile_gamma",
-    "propensity", "recover_alpha0", "run_coverage_study", "run_study", "score_and_hessian",
+    "propensity", "run_coverage_study", "run_study",
     "section2_design", "simulate", "solve_gmm", "solve_ipw", "tilt_error_law",
     "uss_gof_test", "wald_ci", "write_dataset",
 ]
