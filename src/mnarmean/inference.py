@@ -14,9 +14,9 @@ calibration study comparing the variants lives in the acceptance suite."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import expit, ndtri
 
 from .data import Dataset, DesignMatrices, ModelConfig
 from .errors import (
@@ -28,7 +28,7 @@ from .errors import (
 )
 from .mean_response import check_mgf_range
 from .outcome import OutcomeFit
-from .propensity import PropensityFit, _z_matrix
+from .propensity import PropensityFit, _pr_observed, _z_matrix
 
 COND_LIMIT = 1e12
 
@@ -144,7 +144,7 @@ def sandwich_batch(M, r, eps, mu_hat, z, theta, errs: ReplicateErrors) -> Sandwi
     (b, n), z (b, n, p) and theta (b, p).  Every piece gains a leading
     replicate axis, and B is a tuple of three (b,) arrays."""
     n = M.shape[1]
-    pi = expit(-(z @ theta[..., None])[..., 0])
+    pi = _pr_observed((z @ theta[..., None])[..., 0])
     s = theta[:, -1:] * eps
     check_mgf_range(s, errs, obs=r == 1)
     e = r * np.exp(s)
@@ -295,7 +295,7 @@ def wald_ci(
     check_level(level)
     if not sigma2_tau >= 0 or n < 1:
         raise UsageError("sigma2_tau must be >= 0 and n >= 1")
-    zq = ndtri(1.0 - (1.0 - level) / 2.0)
+    zq = NormalDist().inv_cdf(1.0 - (1.0 - level) / 2.0)
     half = zq * np.sqrt(sigma2_tau / n)
     return ConfidenceInterval(
         lower=float(tau_hat - half),

@@ -53,7 +53,13 @@ def _g_matrix(ds: Dataset, basis_g: list[BasisTerm]) -> np.ndarray:
 class _MomentWorkspace:
     """Precomputed observed-row pieces: the r=0 rows contribute the constant
     -sum_miss g_j(x), so only observed-row exponentials vary with theta.
-    ``VT`` holds the observed rows' v = (1, x1, y) as columns."""
+    ``VT`` holds the observed rows' v = (1, x1, y) as columns.
+
+    The exponentials of up to len(HALVINGS) thetas and their v-products for
+    up to len(GAMMA_LATTICE) thetas are written into scratch arrays made
+    once per workspace: allocated afresh on every iteration, arrays of this
+    size make glibc trim and regrow the top of the heap each time.  Callers
+    use a returned weight array before the next call."""
 
     def __init__(self, ds: Dataset, basis_g: list[BasisTerm], cfg: ModelConfig):
         G = _g_matrix(ds, basis_g)
@@ -66,9 +72,13 @@ class _MomentWorkspace:
         self.VT = np.vstack(
             [np.ones(int(obs.sum())), select_x1(ds.x, cfg.x1_columns)[obs].T, ds.y[obs]]
         )
+        self._E = np.empty((len(HALVINGS), self.VT.shape[1]))
+        self._EV = np.empty((len(GAMMA_LATTICE),) + self.VT.shape)
 
     def _weights(self, theta: np.ndarray) -> np.ndarray:
-        return np.exp(theta @ self.VT)
+        """e^{theta' v} at the observed rows, for theta (p,) or (k, p)."""
+        out = self._E[0] if theta.ndim == 1 else self._E[: len(theta)]
+        return np.exp(np.matmul(theta, self.VT, out=out), out=out)
 
     def moments(self, theta: np.ndarray) -> np.ndarray:
         """m(theta) for one theta (p,) or a stack of them (k, p)."""
@@ -81,7 +91,7 @@ class _MomentWorkspace:
         sum_obs e_i v_ij g_l(x_i) at j = 0 are the moment sums.  Callers
         silence the overflow warnings, as _gauss_newton does."""
         k, p = thetas.shape
-        EV = self._weights(thetas)[:, None, :] * self.VT
+        EV = np.multiply(self._weights(thetas)[:, None, :], self.VT, out=self._EV[:k])
         S = (EV.reshape(k * p, -1) @ self.G_obs).reshape(k, p, -1)
         return (S[:, 0] - self.miss_sum) / self.n, S / self.n
 
@@ -117,6 +127,10 @@ def profile_gamma(
     if not lo < hi or step <= 0:
         raise UsageError(f"bad grid ({lo}, {hi}, {step}): need lo < hi, step > 0")
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
+    if beta.shape != (len(cfg.x1_columns),):
+        raise UsageError(
+            f"beta has {beta.size} values for {len(cfg.x1_columns)} x1 columns"
+        )
     alpha_beta = np.concatenate([[alpha0], beta])
     ws = _MomentWorkspace(ds, [BasisTerm((0,) * ds.d)], cfg)
 

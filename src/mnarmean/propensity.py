@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .data import Dataset, ModelConfig, select_x1
 from .errors import (
@@ -60,6 +59,13 @@ def _z_matrix(ds: Dataset, mu_hat: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     return z_stack(select_x1(ds.x, cfg.x1_columns), mu_hat)
 
 
+@np.errstate(over="ignore")
+def _pr_observed(u):
+    """pr(R=1) = 1 / (1 + e^u) at the linear predictor u: expit(-u) to within
+    2 ulp, in a form several times faster than scipy's expit."""
+    return 1.0 / (1.0 + np.exp(u))
+
+
 def _loglik(r, zt, theta):
     """l_n for b fits at once: r (b, n), zt (b, p, n), the transposed z, and
     theta (b, p)."""
@@ -70,12 +76,10 @@ def _loglik(r, zt, theta):
     return np.sum((1 - r) * u - log1pe, axis=-1)
 
 
-@np.errstate(over="ignore")
 def _score_hessian(r, zt, theta, hessian=True):
     """Score sum (r_i - pi_i) z_i (b, p) and, if asked, the hessian
     -sum pi(1-pi) z z' (b, p, p) for b fits at once, zt as in _loglik."""
-    # pi = expit(-u) in the form of scipy's expit, which is several times slower
-    pi = 1.0 / (1.0 + np.exp((theta[..., None, :] @ zt)[..., 0, :]))
+    pi = _pr_observed((theta[..., None, :] @ zt)[..., 0, :])
     score = (zt @ (r - pi)[..., None])[..., 0]
     if not hessian:
         return score
@@ -104,7 +108,7 @@ def propensity_probabilities(
 ) -> np.ndarray:
     """Fitted pr(R=1 | x_i) for every row."""
     z = _z_matrix(ds, mu_hat, cfg)
-    return expit(-(z @ np.asarray(theta, float)))
+    return _pr_observed(z @ np.asarray(theta, float))
 
 
 @np.errstate(all="ignore")

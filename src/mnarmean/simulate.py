@@ -13,13 +13,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, ndtr
 
 from .data import BasisTerm, Dataset, ModelConfig, select_x1
 from .bootstrap import bootstrap_t_ci
 from .errors import MnarError, SingularDesignError, UsageError
 from .fitting import check_estimator_tag, fit_with_variance, point_estimate
 from .inference import H1_VARIANTS, check_level, wald_ci
+from .propensity import _pr_observed
 
 NCR_TAU_RANGE = (-10.0, 10.0)
 NCR_GAMMA_RANGE = (-3.0, 3.0)
@@ -66,6 +66,8 @@ class GaussianMixture:
         return rng.normal(self.means[k], np.sqrt(self.variances[k]))
 
     def cdf(self, x) -> np.ndarray:
+        from scipy.special import ndtr  # deferred: only goodness-of-fit checks call cdf
+
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
         for w, m, s2 in self.components:
@@ -148,7 +150,7 @@ class Scenario:
         """pr(R=1 | x) under the induced logistic model."""
         x1 = select_x1(x, self.x1_columns)
         u = self.alpha_induced + x1 @ np.asarray(self.beta) + self.gamma * self.mu_truth(x)
-        return expit(-u)
+        return _pr_observed(u)
 
     def mean_mu(self) -> float:
         """E mu(X; xi) in closed form via normal raw moments."""

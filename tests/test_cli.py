@@ -252,6 +252,17 @@ def test_profile_gamma_bad_grid(cli_files, capsys):
     assert json.loads(capsys.readouterr().out)["error"] == "USAGE"
 
 
+def test_profile_gamma_wrong_beta_count(cli_files, capsys):
+    """Two --beta values for the one x1 column: a usage error, not a crash."""
+    _, data, cfg = cli_files
+    rc = main([
+        "profile-gamma", "--data", data, "--model-config", cfg,
+        "--alpha0", "-1.2", "--beta", "-0.4", "0.1", "--grid", "-1", "2", "0.1",
+    ])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "USAGE"
+
+
 def test_diagnose_json(cli_files):
     root, data, cfg = cli_files
     out = root / "diag.json"

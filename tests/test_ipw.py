@@ -79,6 +79,13 @@ def test_profile_grid_validation():
         profile_gamma(ds, 0.0, np.array([0.0]), (1.0, 1.0, 0.1), CFG2)
 
 
+@pytest.mark.parametrize("beta", [[0.7, 0.1], []])
+def test_profile_beta_length_must_match_x1_columns(beta):
+    ds = _mar_big(n=200)
+    with pytest.raises(UsageError, match="x1 columns"):
+        profile_gamma(ds, -0.5, np.array(beta), (-1.0, 1.0, 0.25), CFG2)
+
+
 def test_solve_ipw_recovers_mar_truth():
     a0, b = -0.5, 0.7
     ds = _mar_big(n=50_000, seed=32)
