@@ -2,7 +2,8 @@
 bootstrap-t and percentile.  Rows (r, y, x) are resampled jointly; quantiles
 use the type-7 (linear interpolation) convention so results are bit-exact
 for a fixed seed.  Resamples are drawn from per-resample child seeds and
-fitted together in chunks."""
+fitted together in chunks.  The two-step fits check identifiability on the
+original sample only, as fit_mean_response does."""
 
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from .errors import (
     ReplicateErrors,
     UsageError,
 )
-from .fitting import fit_replicates, fit_with_variance, point_estimate
+from .fitting import fit_replicates, fit_with_variance, identified_outcome, point_estimate
 from .inference import ConfidenceInterval, check_level
 
 FAILURE_TOLERANCE = 0.05
@@ -110,6 +111,7 @@ def bootstrap_t_ci(
     n = ds.n
 
     def fit(sample):
+        identified_outcome(sample, cfg)
         tau, _, var = fit_with_variance(sample, cfg, variant)
         return tau.tau_hat, var.sigma2_tau
 
@@ -151,6 +153,8 @@ def bootstrap_percentile_ci(
     check_level(level)
 
     def fit(sample):
+        if estimator_tag in ("proposed", "normal_plugin"):
+            identified_outcome(sample, cfg)
         return point_estimate(estimator_tag, sample, cfg)[0]
 
     def tau_star(idx, _):

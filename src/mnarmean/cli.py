@@ -19,6 +19,7 @@ from .data import ModelConfig, parse_dataset
 from .diagnostics import ncv_score_test, uss_gof_test
 from .errors import DataIOError, MnarError, UsageError
 from .fitting import fit_mean_response
+from .inference import H1_VARIANTS
 from .ipw import profile_gamma
 from .simulate import SCENARIOS, compute_truth, run_coverage_study, run_study
 
@@ -100,10 +101,7 @@ def cmd_simulate(args) -> int:
         raise UsageError("--reps must be >= 1")
     if args.scenario not in SCENARIOS:
         raise UsageError(f"unknown scenario {args.scenario!r}")
-    if args.scenario == "section2":
-        sc = SCENARIOS[args.scenario]()
-    else:
-        sc = SCENARIOS[args.scenario](alpha0=args.alpha0, delta=args.delta)
+    sc = SCENARIOS[args.scenario](alpha0=args.alpha0, delta=args.delta)
     truth = compute_truth(sc, args.truth_draws, seed=np.random.SeedSequence((args.seed, 1)))
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     rows = run_study(
@@ -175,7 +173,7 @@ def cmd_profile_gamma(args) -> int:
 def cmd_diagnose(args) -> int:
     ds = parse_dataset(args.data, y_col=args.y_col, r_col=args.r_col)
     cfg = _load_config(args.model_config)
-    res = fit_mean_response(ds, cfg, variant=args.variant)
+    res = fit_mean_response(ds, cfg)
     ncv = ncv_score_test(res.outcome, res.design, ds)
     uss = uss_gof_test(ds, res.propensity, res.mu_hat, cfg)
     _write_json(
@@ -197,22 +195,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--variant", default="printed",
-                       choices=["printed", "alternative", "derived"],
-                       help="H1 delta-method variant for sigma2_tau")
-
     def add_data(p):
         p.add_argument("--data", required=True)
         p.add_argument("--model-config", required=True)
         p.add_argument("--y-col", default="y")
         p.add_argument("--r-col", default=None)
+        p.add_argument("--out", default=None, help="output file (default stdout)")
 
     p_fit = sub.add_parser("fit", help="two-step fit with variance and CIs")
     add_data(p_fit)
-    add_common(p_fit)
+    p_fit.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_fit.add_argument("--variant", default="printed", choices=H1_VARIANTS,
+                       help="H1 delta-method variant for sigma2_tau")
     p_fit.add_argument("--level", type=float, default=0.95)
     p_fit.add_argument("--bootstrap", type=int, default=0, metavar="B")
     p_fit.add_argument("--bootstrap-method", choices=["t", "percentile"], default="t")
@@ -242,12 +236,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--beta", type=float, nargs="+", required=True)
     p_prof.add_argument("--grid", type=float, nargs=3, required=True,
                         metavar=("LO", "HI", "STEP"))
-    p_prof.add_argument("--out", default=None)
     p_prof.set_defaults(func=cmd_profile_gamma)
 
     p_diag = sub.add_parser("diagnose", help="model-checking tests")
     add_data(p_diag)
-    add_common(p_diag)
     p_diag.set_defaults(func=cmd_diagnose)
 
     return parser

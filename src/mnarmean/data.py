@@ -15,8 +15,8 @@ from .errors import DataIOError, ParseError, SingularDesignError
 
 MAX_DEGREE = 4
 
-#: residual-norm fraction below which a basis column counts as lying in
-#: the span of {1, x1} (scale-free rank test)
+#: a mean-basis column whose part outside span{1, x1} is at most SPAN_TOL
+#: times its own norm lies in that span
 SPAN_TOL = 1e-8
 
 
@@ -218,26 +218,21 @@ def check_identifiability(
 ) -> IdentifiabilityReport:
     """theta is identifiable iff mu(x; xi) is not a linear function of x1.
 
-    We project each mean-basis column onto span{1, X1}; identifiability fails
-    exactly when every column lies in that span (residual norm below
-    SPAN_TOL * column norm).  When ``xi_hat`` is supplied, also reports the
-    condition number of [1 | X1 | mu_hat].
+    One QR of [1 | X1 | M]: the part of mean-basis column j outside
+    span{1, X1} is the norm of R's column j below row k = 1 + |X1|, and
+    identifiability fails exactly when every column's part is at most
+    SPAN_TOL times the column's norm.  When ``xi_hat`` is supplied, also
+    reports the condition number of [1 | X1 | mu_hat], which is that of
+    [R[:, :k] | R[:, k:] xi_hat].
     """
-    n = dm.M.shape[0]
-    base = np.column_stack([np.ones(n), dm.X1])
-    Q, _ = np.linalg.qr(base)
-    identifiable = False
-    for k in range(dm.M.shape[1]):
-        col = dm.M[:, k]
-        resid = col - Q @ (Q.T @ col)
-        norm = np.linalg.norm(col)
-        if np.linalg.norm(resid) > SPAN_TOL * max(norm, 1.0):
-            identifiable = True
-            break
+    n, k = dm.X1.shape[0], 1 + dm.X1.shape[1]
+    R = np.linalg.qr(np.column_stack([np.ones(n), dm.X1, dm.M]), mode="r")
+    outside = np.linalg.norm(R[k:, k:], axis=0)
+    identifiable = bool((outside > SPAN_TOL * np.linalg.norm(R[:, k:], axis=0)).any())
     cond = np.nan
     if xi_hat is not None:
-        mu_hat = dm.M @ np.asarray(xi_hat, dtype=float)
-        cond = float(np.linalg.cond(np.column_stack([base, mu_hat])))
+        mu_hat = R[:, k:] @ np.asarray(xi_hat, dtype=float)
+        cond = float(np.linalg.cond(np.column_stack([R[:, :k], mu_hat])))
     return IdentifiabilityReport(identifiable=identifiable, condition_number=cond)
 
 

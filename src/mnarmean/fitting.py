@@ -53,13 +53,7 @@ def fit_mean_response(
     level: float = 0.95,
     variant: str = "printed",
 ) -> FitResult:
-    dm = build_design(ds, cfg)
-    outcome = fit_least_squares(ds, dm)
-    ident = check_identifiability(dm, xi_hat=outcome.xi_hat)
-    if not ident.identifiable:
-        raise IdentifiabilityError(
-            "mean basis lies in the span of {1, x1}: theta is not identifiable"
-        )
+    dm, outcome, ident = identified_outcome(ds, cfg)
     fit = _selection_step(ds, cfg, dm, outcome)
     tau, propensity, _, mu_hat, _ = fit
     pieces, variance = _sandwich_variance(ds, cfg, fit, variant)
@@ -75,6 +69,20 @@ def fit_mean_response(
         mu_hat=mu_hat,
         pieces=pieces,
     )
+
+
+def identified_outcome(ds: Dataset, cfg: ModelConfig):
+    """The first steps of fit_mean_response, with its errors: returns (design,
+    outcome fit, identifiability report), and raises IdentifiabilityError
+    when the mean basis lies in the span of {1, x1}."""
+    dm = build_design(ds, cfg)
+    outcome = fit_least_squares(ds, dm)
+    ident = check_identifiability(dm, xi_hat=outcome.xi_hat)
+    if not ident.identifiable:
+        raise IdentifiabilityError(
+            "mean basis lies in the span of {1, x1}: theta is not identifiable"
+        )
+    return dm, outcome, ident
 
 
 def fit_tau_only(ds: Dataset, cfg: ModelConfig, normal_plugin: bool = False):

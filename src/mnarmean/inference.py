@@ -201,8 +201,7 @@ def sigma_tau_batch(
     """estimate_sigma_tau for b fits at once, on the pieces of
     sandwich_batch with eta and gamma (b,).  Returns (sigma2_tau, D, H1, H2,
     clipped, A1inv, A2inv), each with a leading replicate axis."""
-    if variant not in H1_VARIANTS:
-        raise UsageError(f"unknown H1 variant {variant!r}; use one of {H1_VARIANTS}")
+    check_variant(variant)
     A1inv = _checked_inverse(pieces.A1, "A1", errs)
     A2inv = _checked_inverse(pieces.A2, "A2", errs)
     B1, B2, B3 = pieces.B
@@ -285,6 +284,12 @@ def check_level(level: float) -> None:
     """Raise UsageError unless the confidence level lies in (0, 1)."""
     if not 0.0 < level < 1.0:
         raise UsageError(f"confidence level must lie in (0, 1), got {level}")
+
+
+def check_variant(variant: str) -> None:
+    """Raise UsageError unless ``variant`` is one of H1_VARIANTS."""
+    if variant not in H1_VARIANTS:
+        raise UsageError(f"unknown H1 variant {variant!r}; use one of {H1_VARIANTS}")
 
 
 def wald_ci(

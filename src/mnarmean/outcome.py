@@ -13,6 +13,8 @@ import numpy as np
 from .data import Dataset, DesignMatrices
 from .errors import DegenerateDataError, ReplicateErrors, SingularDesignError
 
+#: a design column whose part outside the span of the columns before it is
+#: at most RANK_TOL times its own norm is linearly dependent on them
 RANK_TOL = 1e-10
 
 
@@ -22,17 +24,6 @@ class OutcomeFit:
     residuals: np.ndarray  # over complete cases, in row order
     sigma2_hat: float
     n1: int
-
-
-def _dependent_columns(Mc: np.ndarray) -> list[int]:
-    """Columns of the complete-case design that column-pivoted QR finds
-    linearly dependent on the others (empty when Mc has full column rank)."""
-    import scipy.linalg  # deferred: only rank-unclear fits pay its import
-
-    R, piv = scipy.linalg.qr(Mc, mode="r", pivoting=True)
-    diag = np.abs(np.diag(R))
-    rank = int((diag > RANK_TOL * diag[0]).sum()) if diag[0] > 0 else 0
-    return sorted(int(piv[k]) for k in range(rank, Mc.shape[1]))
 
 
 @np.errstate(all="ignore")
@@ -52,22 +43,22 @@ def least_squares_batch(M, r, y, errs: ReplicateErrors):
         ),
     )
     Q, R = np.linalg.qr(M * obs[..., None])
-    # every |R_kk| of the pivoted QR lies between the extreme singular values,
-    # so a clear margin over RANK_TOL means full rank; pivoted QR settles the rest
-    sv = np.linalg.svd(R, compute_uv=False)
-    unclear = np.flatnonzero(errs.ok & ~(sv[:, -1] > 100.0 * RANK_TOL * sv[:, 0]))
-    dependent = {j: _dependent_columns(M[j][obs[j]]) for j in unclear}
+    # |R_kk| is the part of complete-case column k outside the span of the
+    # columns before it, and column k of R has that column's norm
+    lead = np.abs(np.diagonal(R, axis1=1, axis2=2))
+    dependent = ~(lead > RANK_TOL * np.linalg.norm(R[..., : lead.shape[1]], axis=1))
     errs.record(
-        [j for j in unclear if dependent[j]],
+        np.flatnonzero(dependent.any(axis=1)),
         lambda j: SingularDesignError(
-            f"rank-deficient design: columns {dependent[j]} are linearly "
-            "dependent on the others"
+            f"rank-deficient design: columns {np.flatnonzero(dependent[j]).tolist()} "
+            "are linearly dependent on the columns before them"
         ),
     )
     ok = errs.ok
     qty = (np.where(obs, y, 0.0)[:, None, :] @ Q)[:, 0]
     xi = np.zeros((b, q))
-    xi[ok] = np.linalg.solve(R[ok], qty[ok][..., None])[..., 0]
+    if ok.any():  # R is not square when n < q, and then no replicate is ok
+        xi[ok] = np.linalg.solve(R[ok], qty[ok][..., None])[..., 0]
     mu = (M @ xi[..., None])[..., 0]
     eps = np.where(obs, y - mu, 0.0)
     sigma2 = np.einsum("bn,bn->b", eps, eps) / n1

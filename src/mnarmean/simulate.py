@@ -18,7 +18,7 @@ from .data import BasisTerm, Dataset, ModelConfig, select_x1
 from .bootstrap import bootstrap_t_ci
 from .errors import MnarError, SingularDesignError, UsageError
 from .fitting import check_estimator_tag, fit_with_variance, point_estimate
-from .inference import H1_VARIANTS, check_level, wald_ci
+from .inference import check_level, check_variant, wald_ci
 from .propensity import _pr_observed
 
 NCR_TAU_RANGE = (-10.0, 10.0)
@@ -64,15 +64,6 @@ class GaussianMixture:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         k = rng.choice(len(self.components), size=size, p=self.weights)
         return rng.normal(self.means[k], np.sqrt(self.variances[k]))
-
-    def cdf(self, x) -> np.ndarray:
-        from scipy.special import ndtr  # deferred: only goodness-of-fit checks call cdf
-
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for w, m, s2 in self.components:
-            out += w * ndtr((x - m) / np.sqrt(s2))
-        return out
 
 
 class ErrorLaw(GaussianMixture):
@@ -128,6 +119,16 @@ class Scenario:
             raise UsageError("mean_basis and xi_true lengths differ")
         if len(self.beta) != len(self.x1_columns):
             raise UsageError("beta and x1_columns lengths differ")
+        # the covariates are independent normals, so a term lies in span{1, x1}
+        # exactly when it is the intercept or x_j for an x1 column j
+        x1 = {j - 1 for j in self.x1_columns}
+        if all(
+            t.total_degree <= 1 and set(np.flatnonzero(t.exponents)) <= x1
+            for t in self.mean_basis
+        ):
+            raise UsageError(
+                "mean basis lies in the span of {1, x1}: theta is not identifiable"
+            )
 
     @property
     def d(self) -> int:
@@ -436,8 +437,7 @@ def run_coverage_study(
     check_level(level)
     if ci_method not in ("wald", "bootstrap_t"):
         raise UsageError(f"unknown CI method {ci_method!r}")
-    if variant not in H1_VARIANTS:
-        raise UsageError(f"unknown H1 variant {variant!r}; use one of {H1_VARIANTS}")
+    check_variant(variant)
     tau0, results = _replicate(
         _coverage_rep, (ci_method, level, boot_b, variant), sc, n, reps, seed, tau0,
         truth_draws, threads,

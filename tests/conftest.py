@@ -3,12 +3,22 @@
 import numpy as np
 import pytest
 from scipy.special import expit
+from scipy.stats import norm
 
 from mnarmean.data import BasisTerm, Dataset, ModelConfig
 
 
 def make_dataset(r, y, x):
     return Dataset(r=np.asarray(r), y=np.asarray(y, dtype=float), x=np.asarray(x, dtype=float))
+
+
+def mixture_cdf(mix):
+    """The cdf of a GaussianMixture, from its components, for KS tests."""
+
+    def cdf(x):
+        return sum(w * norm.cdf(x, loc=m, scale=np.sqrt(s2)) for w, m, s2 in mix.components)
+
+    return cdf
 
 
 def mar_dataset(n: int, seed: int, a0: float = -0.5, b: float = 0.7) -> Dataset:

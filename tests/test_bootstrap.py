@@ -284,7 +284,7 @@ def test_kernel_errors_match_single_fits():
 
     sc = example1(alpha0=-1.7, delta=1.0)
     cfg = sc.model_config()
-    seen = set()
+    seen, messages = set(), []
     for seed in range(4):
         ds = generate_dataset(sc, 40, seed=seed)
         x = ds.x.copy()
@@ -301,12 +301,14 @@ def test_kernel_errors_match_single_fits():
                 got = fits.errors.errors[j]
                 assert (type(got), str(got)) == (type(exc), str(exc))
                 seen.add(exc.code)
+                messages.append(str(exc))
                 continue
             assert fits.errors.errors[j] is None
             assert fits.converged[j] == prop.converged
             assert abs(fits.tau[j] - tau.tau_hat) <= 1e-10 * max(1.0, abs(tau.tau_hat))
             assert abs(fits.sigma2_tau[j] - var.sigma2_tau) <= 1e-10 * var.sigma2_tau
     assert seen == {"SINGULAR", "SEPARATION"}
+    assert "rank-deficient design: columns [2] are linearly dependent" in "".join(messages)
 
 
 def test_solver_linalg_error_is_a_singular_failure(monkeypatch):
@@ -334,3 +336,24 @@ def test_solver_linalg_error_is_a_singular_failure(monkeypatch):
     calls.clear()
     rows = run_study(sc, 300, 3, ["ipw"], seed=1, tau0=2.0)
     assert rows[0].ncr_reasons.get("SINGULAR") == 1
+
+
+def test_bootstraps_check_identifiability_on_the_original_sample():
+    """With mean basis {1, x1}, theta is not identifiable: both bootstraps
+    raise fit_mean_response's IdentifiabilityError before any resample."""
+    from mnarmean.data import BasisTerm, ModelConfig
+    from mnarmean.errors import IdentifiabilityError
+    from mnarmean.fitting import fit_mean_response
+
+    ds = generate_dataset(example1(alpha0=-1.7, delta=0.0), 2000, seed=1)
+    cfg = ModelConfig(mean_basis=(BasisTerm((0, 0)), BasisTerm((1, 0))), x1_columns=(1,))
+    with pytest.raises(IdentifiabilityError) as expected:
+        fit_mean_response(ds, cfg)
+    message = str(expected.value)
+    with pytest.raises(IdentifiabilityError) as got:
+        bootstrap_t_ci(ds, cfg, B=99, seed=2)
+    assert str(got.value) == message
+    for tag in ("proposed", "normal_plugin"):
+        with pytest.raises(IdentifiabilityError) as got:
+            bootstrap_percentile_ci(tag, ds, cfg, B=99, seed=2)
+        assert str(got.value) == message

@@ -275,6 +275,13 @@ def test_diagnose_json(cli_files):
     assert out.read_bytes() == first
 
 
+@pytest.mark.parametrize("flag", [["--seed", "3"], ["--variant", "derived"]])
+def test_diagnose_takes_no_seed_or_variant(cli_files, flag):
+    """diagnose reports the ncv and uss tests, which neither flag changes."""
+    _, data, cfg = cli_files
+    assert main(["diagnose", "--data", data, "--model-config", cfg, *flag]) == 2
+
+
 def test_version_flag():
     # argparse's SystemExit is converted into a return code
     assert main(["--version"]) == 0

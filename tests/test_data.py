@@ -393,3 +393,49 @@ def test_identifiability_false_for_any_subset_of_span():
         x, (BasisTerm((0, 0, 0)), BasisTerm((1, 0, 0)), BasisTerm((0, 1, 0))), (1, 2)
     )
     assert not check_identifiability(dm).identifiable
+
+
+def test_identifiability_matches_an_explicit_projection():
+    """On random designs, some with every mean column in span{1, X1}: the
+    flag is that of a least-squares projection on [1 | X1], and when it is
+    set, the condition number is np.linalg.cond of [1 | X1 | mu_hat]."""
+    from mnarmean.data import SPAN_TOL
+
+    rng = np.random.default_rng(11)
+    flags = set()
+    for _ in range(40):
+        n, d = int(rng.integers(20, 300)), int(rng.integers(1, 4))
+        x = rng.normal(size=(n, d))
+        k = int(rng.integers(1, d + 1))
+        x1_columns = tuple(int(c) for c in sorted(rng.choice(np.arange(1, d + 1), k, replace=False)))
+        terms = [np.zeros(d, dtype=int)]
+        for _ in range(int(rng.integers(1, 4))):
+            e = np.zeros(d, dtype=int)
+            if rng.random() < 0.5:
+                e[x1_columns[int(rng.integers(len(x1_columns)))] - 1] = 1
+            else:
+                e[int(rng.integers(d))] = int(rng.integers(1, 3))
+            terms.append(e)
+        dm = _design(x, tuple(BasisTerm(tuple(e)) for e in terms), x1_columns)
+        base = np.column_stack([np.ones(n), dm.X1])
+        resid = dm.M - base @ np.linalg.lstsq(base, dm.M, rcond=None)[0]
+        expected = bool(
+            (np.linalg.norm(resid, axis=0) > SPAN_TOL * np.linalg.norm(dm.M, axis=0)).any()
+        )
+        xi_hat = rng.normal(size=dm.M.shape[1])
+        rep = check_identifiability(dm, xi_hat)
+        assert rep.identifiable == expected
+        if expected:
+            ref = np.linalg.cond(np.column_stack([base, dm.M @ xi_hat]))
+            assert rep.condition_number == pytest.approx(ref, rel=1e-12)
+        flags.add(expected)
+    assert flags == {True, False}
+
+
+def test_identifiability_does_not_depend_on_the_covariate_scale():
+    """{1, x1^2} is not linear in x1 however small x1 is."""
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(300, 1))
+    for scale in (1e-6, 1.0, 1e3):
+        dm = _design(x * scale, (BasisTerm((0,)), BasisTerm((2,))), (1,))
+        assert check_identifiability(dm).identifiable

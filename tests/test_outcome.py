@@ -69,8 +69,46 @@ def test_duplicate_column_raises_singular():
         mean_basis=(BasisTerm((0, 0)), BasisTerm((1, 0)), BasisTerm((1, 0))),
         x1_columns=(1,),
     )
-    with pytest.raises(SingularDesignError, match="dependent"):
+    with pytest.raises(SingularDesignError, match=r"columns \[2\] are linearly dependent"):
         fit_least_squares(ds, build_design(ds, cfg))
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1e3])
+def test_duplicate_column_raises_singular_at_any_scale(scale):
+    """The rank rule measures each column against its own norm, so a repeated
+    column is named at any covariate scale, and the intercept never is."""
+    ds, _ = _simple(seed=3)
+    ds = Dataset(r=ds.r, y=ds.y, x=ds.x * scale)
+    cfg = ModelConfig(
+        mean_basis=(BasisTerm((0, 0)), BasisTerm((1, 0)), BasisTerm((1, 0))),
+        x1_columns=(1,),
+    )
+    with pytest.raises(SingularDesignError, match=r"columns \[2\] are linearly dependent"):
+        fit_least_squares(ds, build_design(ds, cfg))
+
+
+def _scaled_fit(ds, basis, scale):
+    """(xi_hat on x, xi_hat on scale * x brought back to the scale of x)."""
+    cfg = ModelConfig(mean_basis=tuple(BasisTerm(e) for e in basis), x1_columns=(1,))
+    scaled = Dataset(r=ds.r, y=ds.y, x=ds.x * scale)
+    xi = fit_least_squares(ds, build_design(ds, cfg)).xi_hat
+    xi_scaled = fit_least_squares(scaled, build_design(scaled, cfg)).xi_hat
+    degree = np.array([sum(e) for e in basis])
+    return xi, xi_scaled * scale**degree
+
+
+def test_scaled_polynomial_designs_fit():
+    """Polynomial bases on rescaled covariates are full rank: the fit goes
+    through and is the unscaled fit, rescaled."""
+    from mnarmean.simulate import example2, generate_dataset
+
+    ds = generate_dataset(example2(), 2000, 5)
+    xi, xi_scaled = _scaled_fit(ds, [(0,), (1,), (2,)], 1e-5)
+    np.testing.assert_allclose(xi_scaled, xi, rtol=1e-8)
+    ds = mar_dataset(800, 7)
+    basis = [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4)]
+    xi, xi_scaled = _scaled_fit(ds, basis, 1e3)
+    np.testing.assert_allclose(xi_scaled, xi, rtol=1e-6)
 
 
 def test_intercept_only():
@@ -91,4 +129,8 @@ def test_too_few_complete_cases():
         x1_columns=(1,),
     )
     with pytest.raises(DegenerateDataError):
+        fit_least_squares(ds, build_design(ds, cfg))
+    # fewer rows than mean parameters
+    ds = Dataset(r=[1, 1], y=[1.0, 2.0], x=x[:2])
+    with pytest.raises(DegenerateDataError, match="only 2 complete cases for 3"):
         fit_least_squares(ds, build_design(ds, cfg))

@@ -17,6 +17,8 @@ from mnarmean.simulate import (
     tilt_error_law,
 )
 
+from conftest import mixture_cdf
+
 
 def test_tilt_single_normal():
     law = GaussianMixture([(1.0, 0.0, 4.0)])
@@ -118,9 +120,9 @@ def test_generator_self_consistency_large_n():
     # complete-case residuals follow the base law; missing-case residuals
     # follow the tilted law (KS distance < 0.01)
     eps = ds.y_full - sc.mu_truth(ds.x)
-    ks_obs = ks_1samp(eps[obs], sc.error_law.cdf).statistic
+    ks_obs = ks_1samp(eps[obs], mixture_cdf(sc.error_law)).statistic
     tilted, m1 = tilt_error_law(sc.error_law, sc.gamma)
-    ks_mis = ks_1samp(eps[~obs], tilted.cdf).statistic
+    ks_mis = ks_1samp(eps[~obs], mixture_cdf(tilted)).statistic
     assert ks_obs < 0.01
     assert ks_mis < 0.01
     # empirical M1(gamma) on the observed subsample
@@ -301,3 +303,21 @@ def test_study_row_reasons_default_to_empty():
     row = StudyRow(method="ipw", rb_percent=0.0, mse_x100=0.0, ncr=0, n_reps=3)
     assert row.ncr_reasons == {}
     assert hash(row) == hash(StudyRow("ipw", 0.0, 0.0, 0, 3, {"NONCONVERGED": 0}))
+
+
+def test_scenario_rejects_a_mean_basis_in_the_span_of_x1():
+    """Scenario covariates are independent normals, so a mean basis of the
+    intercept and x1 terms leaves theta unidentifiable in every replication;
+    the scenario is refused up front."""
+    import dataclasses
+
+    from mnarmean.data import BasisTerm
+
+    sc = example1()
+    with pytest.raises(UsageError, match="not identifiable"):
+        dataclasses.replace(sc, mean_basis=(BasisTerm((0, 0)), BasisTerm((1, 0))), xi_true=(1.0, 1.0))
+    with pytest.raises(UsageError, match="not identifiable"):
+        dataclasses.replace(sc, mean_basis=(BasisTerm((0, 0)),), xi_true=(1.0,))
+    # x2 is not an x1 column, and x1^2 is not linear in x1
+    for term in ((0, 1), (2, 0), (1, 1)):
+        dataclasses.replace(sc, mean_basis=(BasisTerm((0, 0)), BasisTerm(term)), xi_true=(1.0, 1.0))
