@@ -48,14 +48,16 @@ class Dataset:
             raise ParseError(
                 f"length mismatch: r has {n} rows, y has {y.shape[0]}, x has {x.shape[0]}"
             )
-        if not np.isin(r, (0, 1)).all():
-            raise ParseError("r must contain only 0/1 indicators")
         observed = r == 1
-        if not np.isfinite(y[observed]).all():
-            i = int(np.where(observed & ~np.isfinite(y))[0][0])
-            raise ParseError(f"row {i}: r=1 but y is missing or not finite ({y[i]})")
-        if (~np.isnan(y[~observed])).any():
-            i = int(np.where(~observed & ~np.isnan(y))[0][0])
+        if not (observed | (r == 0)).all():
+            raise ParseError("r must contain only 0/1 indicators")
+        # one pass over y; the offending row is looked for only on failure
+        if not np.where(observed, np.isfinite(y), np.isnan(y)).all():
+            bad = observed & ~np.isfinite(y)
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ParseError(f"row {i}: r=1 but y is missing or not finite ({y[i]})")
+            i = int(np.argmax(~observed & ~np.isnan(y)))
             raise ParseError(f"row {i}: r=0 but y is present")
         if not np.isfinite(x).all():
             i, j = np.argwhere(~np.isfinite(x))[0]

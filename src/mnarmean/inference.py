@@ -28,7 +28,7 @@ from .errors import (
 )
 from .mean_response import check_mgf_range
 from .outcome import OutcomeFit
-from .propensity import PropensityFit, _pr_observed, _z_matrix
+from .propensity import PropensityFit, _pr_observed, _predictor, _z_matrix
 
 COND_LIMIT = 1e12
 
@@ -72,32 +72,41 @@ def _residual_rows(ds, outcome_fit):
     return ds.r.astype(float), eps
 
 
-def _A_matrices(M, r, z, pi):
+def _A_matrices(Mt, r, zt, pi):
     """A1 = n^-1 sum r M_i' M_i,  A2 = n^-1 sum w_i z_i z_i',
-    A3 = n^-1 sum w_i z_i M_i,  A4 = n^-1 sum M_i',  w_i = pi_i (1 - pi_i);
-    grad_xi mu is the basis row M_i (mu is linear in xi) and
-    grad_theta phi = z_i = (1, x1_i, mu_hat_i)."""
-    n = M.shape[-2]
-    zw = z * (pi * (1.0 - pi))[..., None]
-    zwt = zw.swapaxes(-1, -2)
+    A3 = n^-1 sum w_i z_i M_i,  A4 = n^-1 sum M_i',  w_i = pi_i (1 - pi_i),
+    from the feature-major Mt (..., q, n) and zt (..., p, n); grad_xi mu is
+    the basis row M_i (mu is linear in xi) and grad_theta phi = z_i =
+    (1, x1_i, mu_hat_i)."""
+    n = Mt.shape[-1]
+    w = 1.0 - pi
+    w *= pi
+    zw = zt * w[..., None, :]
+    Mtt, ztt = Mt.swapaxes(-1, -2), zt.swapaxes(-1, -2)
     return (
-        (M * r[..., None]).swapaxes(-1, -2) @ M / n,
-        zwt @ z / n,
-        zwt @ M / n,
-        M.mean(axis=-2),
+        (Mt * r[..., None, :]) @ Mtt / n,
+        zw @ ztt / n,
+        zw @ Mtt / n,
+        Mt.mean(axis=-1),
     )
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def _checked_inverse(A: np.ndarray, name: str, errs: ReplicateErrors) -> np.ndarray:
-    """Inverses of the stacked A; a member fails when its condition number
-    exceeds COND_LIMIT or LAPACK cannot factor it."""
+    """Inverses of the stacked A; a member fails when the condition number of
+    D^-1/2 A D^-1/2, D = diag(A), exceeds COND_LIMIT or is NaN, or when
+    LAPACK cannot factor it.  The scaling makes the test independent of the
+    units of the covariates."""
 
     def error(j):
         return SingularDesignError(f"{name} is numerically singular")
 
-    cond, failed = linalg_each(np.linalg.cond, A.shape[:-2], A)
+    d = 1.0 / np.sqrt(np.diagonal(A, axis1=-2, axis2=-1))
+    cond, failed = linalg_each(
+        np.linalg.cond, A.shape[:-2], A * d[..., :, None] * d[..., None, :]
+    )
     errs.record(list(failed), error)
-    errs.record(np.flatnonzero(cond > COND_LIMIT), error)
+    errs.record(np.flatnonzero(~(cond <= COND_LIMIT)), error)
     rows = np.flatnonzero(errs.ok)
     inv = np.full(A.shape, np.nan)
     inv[rows], failed = linalg_each(np.linalg.inv, (rows.size,) + A.shape[1:], A[rows])
@@ -122,19 +131,21 @@ def _joint_covariance(A1inv, A2inv, A3, sigma2_hat, gamma_hat) -> np.ndarray:
     return (Sigma + Sigma.T) / 2.0
 
 
-def _score_rows(M, mu_hat, r, z, pi, eps, e, B):
-    """Per-row estimating-function residuals S_hat_i (..., n, q + p + 4) of
-    psi = (r - eta, M r eps, z (r - pi), mu - mu_bar, r e^{g eps} - B1,
-    r eps e^{g eps} - B2)."""
+def _score_rows(Mt, mu_hat, r, zt, pi, eps, e, B):
+    """Per-row estimating-function residuals S_hat (..., q + p + 4, n),
+    feature-major, of psi = (r - eta, M r eps, z (r - pi), mu - mu_bar,
+    r e^{g eps} - B1, r eps e^{g eps} - B2), for Mt and zt as in
+    _A_matrices."""
     B1, B2, _ = B
-    q, p = M.shape[-1], z.shape[-1]
-    S = np.empty(M.shape[:-1] + (q + p + 4,))
-    S[..., 0] = r - r.mean(axis=-1, keepdims=True)
-    S[..., 1 : 1 + q] = M * (r * eps)[..., None]
-    S[..., 1 + q : 1 + q + p] = z * (r - pi)[..., None]
-    S[..., -3] = mu_hat - mu_hat.mean(axis=-1, keepdims=True)
-    S[..., -2] = e - np.expand_dims(B1, -1)
-    S[..., -1] = eps * e - np.expand_dims(B2, -1)
+    q, p = Mt.shape[-2], zt.shape[-2]
+    S = np.empty(mu_hat.shape[:-1] + (q + p + 4, mu_hat.shape[-1]))
+    np.subtract(r, r.mean(axis=-1, keepdims=True), out=S[..., 0, :])
+    np.multiply(Mt, (r * eps)[..., None, :], out=S[..., 1 : 1 + q, :])
+    np.multiply(zt, (r - pi)[..., None, :], out=S[..., 1 + q : 1 + q + p, :])
+    np.subtract(mu_hat, mu_hat.mean(axis=-1, keepdims=True), out=S[..., -3, :])
+    np.subtract(e, np.expand_dims(B1, -1), out=S[..., -2, :])
+    np.multiply(eps, e, out=S[..., -1, :])
+    S[..., -1, :] -= np.expand_dims(B2, -1)
     return S
 
 
@@ -144,18 +155,21 @@ def sandwich_batch(M, r, eps, mu_hat, z, theta, errs: ReplicateErrors) -> Sandwi
     (b, n), z (b, n, p) and theta (b, p).  Every piece gains a leading
     replicate axis, and B is a tuple of three (b,) arrays."""
     n = M.shape[1]
-    pi = _pr_observed((z @ theta[..., None])[..., 0])
+    Mt = np.ascontiguousarray(M.swapaxes(1, 2))
+    zt = np.ascontiguousarray(z.swapaxes(1, 2))
+    pi = _pr_observed(_predictor(theta, zt))
     s = theta[:, -1:] * eps
     check_mgf_range(s, errs, obs=r == 1)
-    e = r * np.exp(s)
-    del s  # a (b, n) array; freed before the score rows are formed
-    A1, A2, A3, A4 = _A_matrices(M, r, z, pi)
+    e = np.exp(s, out=s)
+    e *= r
+    A1, A2, A3, A4 = _A_matrices(Mt, r, zt, pi)
     ee = eps * e
     B = (e.mean(axis=1), ee.mean(axis=1), (eps * ee).mean(axis=1))
-    C1 = (e[:, None, :] @ M)[:, 0] / n
-    C2 = (ee[:, None, :] @ M)[:, 0] / n
-    S = _score_rows(M, mu_hat, r, z, pi, eps, e, B)
-    V = S.swapaxes(-1, -2) @ S / n
+    C1 = (Mt @ e[..., None])[..., 0] / n
+    C2 = (Mt @ ee[..., None])[..., 0] / n
+    del ee  # a (b, n) array; freed before the score rows are formed
+    S = _score_rows(Mt, mu_hat, r, zt, pi, eps, e, B)
+    V = S @ S.swapaxes(-1, -2) / n
     return SandwichPieces(A1=A1, A2=A2, A3=A3, A4=A4, B=B, C1=C1, C2=C2, V=V)
 
 

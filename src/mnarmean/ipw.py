@@ -346,8 +346,8 @@ def solve_gmm(ds: Dataset, cfg: ModelConfig, degree_k: int) -> IpwFit:
     if not np.isfinite(U).all():
         omega = W1
     else:
-        Uc = U - U.mean(axis=0)
-        omega = Uc.T @ Uc / ds.n
+        U -= U.mean(axis=0)
+        omega = U.T @ U / ds.n
     ridge = 1e-8 * max(np.trace(omega), 1e-300)
     try:
         W2 = np.linalg.inv(omega + ridge * W1)

@@ -42,7 +42,15 @@ def least_squares_batch(M, r, y, errs: ReplicateErrors):
             f"only {n1[j]} complete cases for {q} mean parameters"
         ),
     )
-    Q, R = np.linalg.qr(M * obs[..., None])
+    # one R factor of [M | y] over the complete cases: its leading q x q block
+    # is the R of M, and the column above its corner is Q'y, so that
+    # xi = R^-1 Q'y needs no Q (Golub & Van Loan, Matrix Computations, 5.3)
+    My = np.empty((b, q + 1, n))
+    np.multiply(M.swapaxes(1, 2), obs[:, None, :], out=My[:, :q])
+    My[:, q] = np.where(obs, y, 0.0)
+    Ry = np.linalg.qr(My.swapaxes(1, 2), mode="r")
+    del My  # freed before mu and eps are formed
+    R = Ry[:, :q, :q]
     # |R_kk| is the part of complete-case column k outside the span of the
     # columns before it, and column k of R has that column's norm
     lead = np.abs(np.diagonal(R, axis1=1, axis2=2))
@@ -55,10 +63,9 @@ def least_squares_batch(M, r, y, errs: ReplicateErrors):
         ),
     )
     ok = errs.ok
-    qty = (np.where(obs, y, 0.0)[:, None, :] @ Q)[:, 0]
     xi = np.zeros((b, q))
     if ok.any():  # R is not square when n < q, and then no replicate is ok
-        xi[ok] = np.linalg.solve(R[ok], qty[ok][..., None])[..., 0]
+        xi[ok] = np.linalg.solve(R[ok], Ry[ok, :q, q, None])[..., 0]
     mu = (M @ xi[..., None])[..., 0]
     eps = np.where(obs, y - mu, 0.0)
     sigma2 = np.einsum("bn,bn->b", eps, eps) / n1

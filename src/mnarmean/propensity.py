@@ -47,12 +47,14 @@ class PropensityFit:
 
 
 def z_stack(x1: np.ndarray, mu_hat: np.ndarray) -> np.ndarray:
-    """z_i = (1, x1_i, mu_hat_i) for x1 (..., n, p - 2) and mu_hat (..., n)."""
-    z = np.empty(mu_hat.shape + (x1.shape[-1] + 2,))
-    z[..., 0] = 1.0
-    z[..., 1:-1] = x1
-    z[..., -1] = mu_hat
-    return z
+    """z_i = (1, x1_i, mu_hat_i) for x1 (..., n, p - 2) and mu_hat (..., n).
+    The array is stored feature-major, so its transpose, which the Newton and
+    sandwich kernels read, is contiguous."""
+    zt = np.empty(mu_hat.shape[:-1] + (x1.shape[-1] + 2, mu_hat.shape[-1]))
+    zt[..., 0, :] = 1.0
+    zt[..., 1:-1, :] = x1.swapaxes(-1, -2)
+    zt[..., -1, :] = mu_hat
+    return zt.swapaxes(-1, -2)
 
 
 def _z_matrix(ds: Dataset, mu_hat: np.ndarray, cfg: ModelConfig) -> np.ndarray:
@@ -60,31 +62,58 @@ def _z_matrix(ds: Dataset, mu_hat: np.ndarray, cfg: ModelConfig) -> np.ndarray:
 
 
 @np.errstate(over="ignore")
-def _pr_observed(u):
+def _pr_observed(u, out=None):
     """pr(R=1) = 1 / (1 + e^u) at the linear predictor u: expit(-u) to within
-    2 ulp, in a form several times faster than scipy's expit."""
-    return 1.0 / (1.0 + np.exp(u))
+    2 ulp, in a form several times faster than scipy's expit; written into
+    the array ``out`` if given."""
+    if out is None:
+        return 1.0 / (1.0 + np.exp(u))
+    np.exp(u, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
+
+
+def _predictor(theta, zt):
+    """The linear predictor u = theta'z (b, n) for theta (b, p) and zt
+    (b, p, n), the transposed z."""
+    return (theta[..., None, :] @ zt)[..., 0, :]
+
+
+def _loglik_u(u, rc, t1, t2):
+    """l_n (b,) at the linear predictor u (b, n), with rc = 1 - r and the
+    scratch arrays t1 and t2 shaped like u."""
+    # log pi = -log(1 + e^u), log(1 - pi) = u - log(1 + e^u); log(1 + e^u) in
+    # the form of np.logaddexp(0, u), which is several times slower
+    log1pe = np.abs(u, out=t1)
+    np.negative(log1pe, out=log1pe)
+    np.exp(log1pe, out=log1pe)
+    np.log1p(log1pe, out=log1pe)
+    log1pe += np.maximum(u, 0.0, out=t2)
+    terms = np.multiply(rc, u, out=t2)
+    terms -= log1pe
+    return np.sum(terms, axis=-1)
+
+
+def _score_u(r, zt, u, pi, t):
+    """Score sum (r_i - pi_i) z_i (b, p) at the linear predictor u; pi(u) is
+    written into ``pi``, and t is a scratch array shaped like u."""
+    _pr_observed(u, out=pi)
+    return (zt @ np.subtract(r, pi, out=t)[..., None])[..., 0]
+
+
+def _hessian(zt, pi, t, zw):
+    """The hessian -sum pi(1-pi) z z' (b, p, p) at the pi of _score_u, with
+    the scratch arrays t, shaped like pi, and zw, shaped like zt."""
+    w = np.subtract(1.0, pi, out=t)
+    w *= pi
+    return -(np.multiply(zt, w[..., None, :], out=zw) @ zt.swapaxes(-1, -2))
 
 
 def _loglik(r, zt, theta):
     """l_n for b fits at once: r (b, n), zt (b, p, n), the transposed z, and
     theta (b, p)."""
-    u = (theta[..., None, :] @ zt)[..., 0, :]
-    # log pi = -log(1 + e^u), log(1 - pi) = u - log(1 + e^u); log(1 + e^u) in
-    # the form of np.logaddexp(0, u), which is several times slower
-    log1pe = np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u)))
-    return np.sum((1 - r) * u - log1pe, axis=-1)
-
-
-def _score_hessian(r, zt, theta, hessian=True):
-    """Score sum (r_i - pi_i) z_i (b, p) and, if asked, the hessian
-    -sum pi(1-pi) z z' (b, p, p) for b fits at once, zt as in _loglik."""
-    pi = _pr_observed((theta[..., None, :] @ zt)[..., 0, :])
-    score = (zt @ (r - pi)[..., None])[..., 0]
-    if not hessian:
-        return score
-    zw = zt * (pi * (1.0 - pi))[..., None, :]
-    return score, -(zw @ zt.swapaxes(-1, -2))
+    u = _predictor(theta, zt)
+    return _loglik_u(u, 1 - r, np.empty_like(u), np.empty_like(u))
 
 
 def log_conditional_likelihood_z(r, z, theta) -> float:
@@ -97,10 +126,11 @@ def score_and_hessian_z(r, z, theta):
     """Estimating-function convention: score = sum (r_i - pi_i) z_i, which is
     the NEGATIVE gradient of l_n under this model's sign convention; the
     returned hessian -sum pi(1-pi) z z' is the hessian of l_n."""
-    score, hessian = _score_hessian(
-        np.asarray(r)[None], z.T[None], np.asarray(theta, float)[None]
-    )
-    return score[0], hessian[0]
+    zt = z.T[None]
+    u = _predictor(np.asarray(theta, float)[None], zt)
+    pi, t = np.empty_like(u), np.empty_like(u)
+    score = _score_u(np.asarray(r)[None], zt, u, pi, t)
+    return score[0], _hessian(zt, pi, t, np.empty(zt.shape))[0]
 
 
 def propensity_probabilities(
@@ -129,15 +159,33 @@ def newton_batch(z: np.ndarray, r: np.ndarray, errs: ReplicateErrors):
     # exact MLE of the intercept-only model: pi = n1/n
     theta = np.zeros((b, p))
     theta[:, 0] = np.where(errs.ok, np.log((n - n1) / n1), 0.0)
-    ll = _loglik(r, zt, theta)
+    rc = 1 - r
+    t1, t2, zw = np.empty((b, n)), np.empty((b, n)), np.empty_like(zt)
+    u = _predictor(theta, zt)  # theta'z, updated with every accepted step
+    ll = _loglik_u(u, rc, t1, t2)
     iterations = np.zeros(b, dtype=np.int64)
     active = errs.ok.copy()
+    # zt, r and 1 - r at the replicates ``held``: all of them until one stops,
+    # and then gathered from zt into one buffer
+    held, zh, rh, rch, zbuf = np.arange(b), zt, r, rc, None
+
+    def hold(rows):
+        nonlocal held, zh, rh, rch, zbuf
+        if rows.size < held.size:
+            if zbuf is None:
+                zbuf = np.empty((rows.size, p, n))
+            zh = np.take(zt, rows, axis=0, out=zbuf[: rows.size], mode="clip")
+            held, rh, rch = rows, r[rows], rc[rows]
+
     for it in range(1, MAX_ITER + 1):
         rows = np.flatnonzero(active)
         if rows.size == 0:
             break
         iterations[rows] = it
-        score, hessian = _score_hessian(r[rows], zt[rows], theta[rows])
+        hold(rows)
+        a = rows.size
+        score = _score_u(rh, zh, u[rows] if a < b else u, t1[:a], t2[:a])
+        hessian = _hessian(zh, t1[:a], t2[:a], zw[:a])
         gnorm = np.max(np.abs(score), axis=1)
         moving = ~(gnorm < SCORE_TOL)
         active[rows[~moving]] = False
@@ -153,14 +201,21 @@ def newton_batch(z: np.ndarray, r: np.ndarray, errs: ReplicateErrors):
         active[list(singular)] = False
         keep = errs.ok[rows]
         rows, delta, gnorm = rows[keep], delta[keep, :, 0], gnorm[keep]
-        zr, rr, base, ll0 = zt[rows], r[rows], theta[rows], ll[rows]
-        pending = np.ones(rows.size, dtype=bool)
+        hold(rows)
+        a = rows.size
+        base, ll0 = theta[rows], ll[rows]
+        pending = np.ones(a, dtype=bool)
         for h in range(MAX_HALVINGS):
             k = np.flatnonzero(pending)
             if k.size == 0:
                 break
-            cand = base[k] + 0.5**h * delta[k]
-            ll_new = _loglik(rr[k], zr[k], cand)
+            # the predictor of every held replicate: a product over the
+            # rows the line search holds, with no gather of the pending ones
+            cand = base + 0.5**h * delta
+            uk = _predictor(cand, zh)
+            if k.size < a:
+                cand, uk = cand[k], uk[k]
+            ll_new = _loglik_u(uk, rch[k] if k.size < a else rch, t1[: k.size], t2[: k.size])
             up = ll_new > ll0[k]
             if h == 0:
                 # near the optimum the likelihood gain drops below float
@@ -168,11 +223,13 @@ def newton_batch(z: np.ndarray, r: np.ndarray, errs: ReplicateErrors):
                 # step whenever it still shrinks the score
                 near = np.flatnonzero(~up & (ll_new >= ll0[k] - 1e-9 * (1.0 + np.abs(ll0[k]))))
                 if near.size:
-                    s_new = _score_hessian(rr[k[near]], zr[k[near]], cand[near], hessian=False)
-                    up[near] = np.max(np.abs(s_new), axis=1) < 0.5 * gnorm[k[near]]
+                    m = near.size
+                    s_new = _score_u(rh[near], zh[near], uk[near], t1[:m], t2[:m])
+                    up[near] = np.max(np.abs(s_new), axis=1) < 0.5 * gnorm[near]
             won = k[up]
             theta[rows[won]] = cand[up]
             ll[rows[won]] = ll_new[up]
+            u[rows[won]] = uk[up]
             pending[won] = False
         active[rows[pending]] = False  # no further progress possible at float precision
         moved = rows[~pending]
@@ -185,7 +242,7 @@ def newton_batch(z: np.ndarray, r: np.ndarray, errs: ReplicateErrors):
             ),
         )
         active[separated] = False
-    gnorm = np.max(np.abs(_score_hessian(r, zt, theta, hessian=False)), axis=1)
+    gnorm = np.max(np.abs(_score_u(r, zt, u, t1, t2)), axis=1)
     return theta, ll, iterations, gnorm
 
 

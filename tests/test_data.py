@@ -39,6 +39,53 @@ def test_dataset_rejects_non_finite_observed_y_and_x(bad):
         Dataset(r=[1, 0], y=[1.0, np.nan], x=[[0.0], [bad]])  # also on missing-y rows
 
 
+def _reference_r_y_checks(r, y):
+    """The r and y checks of Dataset as separate passes: np.isin, then the
+    observed and the missing rows of y in turn."""
+    r, y = np.asarray(r, dtype=np.int64), np.asarray(y, dtype=np.float64)
+    if not np.isin(r, (0, 1)).all():
+        raise ParseError("r must contain only 0/1 indicators")
+    observed = r == 1
+    if not np.isfinite(y[observed]).all():
+        i = int(np.where(observed & ~np.isfinite(y))[0][0])
+        raise ParseError(f"row {i}: r=1 but y is missing or not finite ({y[i]})")
+    if (~np.isnan(y[~observed])).any():
+        i = int(np.where(~observed & ~np.isnan(y))[0][0])
+        raise ParseError(f"row {i}: r=0 but y is present")
+
+
+def _malformed_r_y():
+    rng = np.random.default_rng(12)
+    cases = [
+        ([1, 0, 2], [1.0, np.nan, 1.0]),
+        ([-1, 0], [1.0, np.nan]),
+        ([0, 1, 0], [np.nan, 1.0, 0.0]),
+        ([0, 1, 1], [3.0, np.inf, np.nan]),  # both rules broken: r=1 is reported
+        ([1, 1, 0, 1], [1.0, 2.0, np.nan, -np.inf]),
+        ([0, 0], [np.nan, np.nan]),  # well-formed
+    ]
+    for _ in range(40):
+        n = int(rng.integers(1, 8))
+        r = rng.integers(0, 2, n)
+        y = rng.choice([0.5, np.nan, np.inf], n)
+        cases.append((r.tolist(), y.tolist()))
+    return cases
+
+
+@pytest.mark.parametrize("r, y", _malformed_r_y())
+def test_dataset_checks_match_the_separate_passes(r, y):
+    """One pass per array raises what the separate passes raise."""
+    x = np.zeros((len(r), 1))
+    try:
+        _reference_r_y_checks(r, y)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            Dataset(r=r, y=y, x=x)
+        assert str(got.value) == str(exc)
+    else:
+        Dataset(r=r, y=y, x=x)
+
+
 def test_parse_derives_r_from_y_presence(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("y,x1\n1.0,0.1\n,0.2\n2.0,0.3\n", encoding="utf-8")

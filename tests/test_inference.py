@@ -20,14 +20,15 @@ def fitted(request):
 
 
 def _fit_score_rows(ds, cfg, dm, mu_hat, outcome, propensity, B):
-    """The score rows S_hat of a fit, with z, pi and the tilt e formed here."""
+    """The score rows S_hat (n, m) of a fit, with z, pi and the tilt e formed
+    here."""
     r = ds.r.astype(float)
     eps = np.zeros(ds.n)
     eps[ds.r == 1] = outcome.residuals
     z = _z_matrix(ds, mu_hat, cfg)
     pi = 1.0 / (1.0 + np.exp(z @ propensity.theta_hat))
     e = r * np.exp(propensity.gamma_hat * eps)
-    return _score_rows(dm.M, mu_hat, r, z, pi, eps, e, B)
+    return _score_rows(dm.M.T, mu_hat, r, z.T, pi, eps, e, B).T
 
 
 def test_A2_equals_minus_hessian_over_n(fitted):
@@ -271,3 +272,38 @@ def test_derived_variance_drops_a_jacobian_term_when_q_exceeds_p(extra):
     D = np.linalg.solve(A.T, grad_tau)
     assert res.variance.sigma2_tau == pytest.approx(D @ res.pieces.V @ D, rel=1e-8)
     assert np.allclose(res.variance.D, -D, rtol=0, atol=1e-7 * np.abs(D).max())
+
+
+@pytest.mark.parametrize("factor", [1e2, 1e3])
+def test_variance_step_does_not_depend_on_the_covariate_scale(factor):
+    """A1 and A2 are tested for conditioning after scaling by their
+    diagonals, so x * 1e3 on Example 2 fits, with the unscaled numbers."""
+    from mnarmean.simulate import example2, generate_dataset
+
+    sc = example2()
+    ds = generate_dataset(sc, 2000, 5)
+    scaled = Dataset(r=ds.r, y=ds.y, x=ds.x * factor)
+    for variant in ("printed", "derived"):
+        want = fit_mean_response(ds, sc.model_config(), variant=variant)
+        got = fit_mean_response(scaled, sc.model_config(), variant=variant)
+        assert got.tau.tau_hat == pytest.approx(want.tau.tau_hat, rel=1e-12)
+        assert got.variance.sigma2_tau == pytest.approx(want.variance.sigma2_tau, rel=1e-12)
+
+
+def test_checked_inverse_scales_by_the_diagonal():
+    from mnarmean.errors import ReplicateErrors
+    from mnarmean.inference import _checked_inverse
+
+    A = np.array(
+        [
+            np.diag([1e-8, 1e8]),  # badly scaled, well conditioned
+            [[1.0, 1.0], [1.0, 1.0 + 1e-14]],  # nearly collinear
+            [[1e6, 1e6], [1e6, 1e6 * (1.0 + 1e-14)]],  # the same, rescaled
+            [[0.0, 0.0], [0.0, 1.0]],  # a zero diagonal: NaN condition number
+        ]
+    )
+    errs = ReplicateErrors(len(A))
+    inv = _checked_inverse(A, "A1", errs)
+    np.testing.assert_allclose(inv[0], np.diag([1e8, 1e-8]))
+    assert errs.ok.tolist() == [True, False, False, False]
+    assert [str(e) for e in errs.errors[1:]] == ["A1 is numerically singular"] * 3
