@@ -44,6 +44,14 @@ def _write_json(obj, path: str | None):
         sys.stdout.write(text)
 
 
+def _write_csv(rows, path: str | None):
+    if path:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+    else:
+        csv.writer(sys.stdout).writerows(rows)
+
+
 def cmd_fit(args) -> int:
     ds = parse_dataset(args.data, y_col=args.y_col, r_col=args.r_col)
     cfg = _load_config(args.model_config)
@@ -122,11 +130,7 @@ def cmd_simulate(args) -> int:
             [row.method, f"{row.rb_percent:.6g}", f"{row.mse_x100:.6g}",
              str(row.ncr), str(row.n_reps)]
         )
-    if args.out_csv:
-        with open(args.out_csv, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(lines)
-    else:
-        csv.writer(sys.stdout).writerows(lines)
+    _write_csv(lines, args.out_csv)
     sidecar = {
         "schema_version": SCHEMA_VERSION,
         "scenario": args.scenario,
@@ -152,21 +156,14 @@ def cmd_profile_gamma(args) -> int:
     lo, hi, step = args.grid
     beta = np.asarray(args.beta, dtype=float)
     prof = profile_gamma(ds, args.alpha0, beta, (lo, hi, step), cfg)
-    writer_target = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
-    try:
-        w = csv.writer(writer_target)
-        w.writerow(["gamma", "M_gamma", "is_root_bracket"])
-        roots = np.asarray(prof.roots)
-        for g, v in zip(prof.grid, prof.values):
-            in_bracket = bool(
-                roots.size and np.any((roots >= g) & (roots < g + step))
-            )
-            w.writerow([f"{g:.12g}", f"{v:.12g}", int(in_bracket)])
-        w.writerow([])
-        w.writerow(["root"] + [f"{r:.12g}" for r in prof.roots])
-    finally:
-        if args.out:
-            writer_target.close()
+    roots = np.asarray(prof.roots)
+    lines = [["gamma", "M_gamma", "is_root_bracket"]]
+    for g, v in zip(prof.grid, prof.values):
+        in_bracket = bool(roots.size and np.any((roots >= g) & (roots < g + step)))
+        lines.append([f"{g:.12g}", f"{v:.12g}", int(in_bracket)])
+    lines.append([])
+    lines.append(["root"] + [f"{r:.12g}" for r in prof.roots])
+    _write_csv(lines, args.out)
     return 0
 
 

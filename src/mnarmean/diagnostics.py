@@ -12,7 +12,7 @@ import numpy as np
 from .data import Dataset, DesignMatrices, ModelConfig
 from .errors import DegenerateDataError, SingularDesignError
 from .outcome import OutcomeFit, predict_mu
-from .propensity import PropensityFit, _z_matrix, propensity_probabilities
+from .propensity import PropensityFit, _pr_observed, _z_matrix
 
 
 @dataclass(frozen=True)
@@ -68,13 +68,13 @@ def uss_gof_test(
 ) -> TestResult:
     """Unweighted sum of squares T = sum (r_i - pi_i)^2, standardized by the
     Hosmer-le Cessie moment formulas and referred to a two-sided normal."""
-    pi = propensity_probabilities(ds, mu_hat, propensity_fit.theta_hat, cfg)
+    Z = _z_matrix(ds, mu_hat, cfg)
+    pi = _pr_observed(Z @ propensity_fit.theta_hat)
     r = ds.r.astype(float)
     T = float(np.sum((r - pi) ** 2))
     w = pi * (1.0 - pi)
     E = float(np.sum(w))
     d = 1.0 - 2.0 * pi
-    Z = _z_matrix(ds, mu_hat, cfg)
     ZtWZ = (Z * w[:, None]).T @ Z
     try:
         inner = np.linalg.solve(ZtWZ, (Z * w[:, None]).T @ d)

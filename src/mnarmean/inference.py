@@ -60,8 +60,6 @@ class VarianceEstimates:
     Sigma: np.ndarray
     sigma2_tau: float
     D: np.ndarray
-    H1: np.ndarray
-    H2: np.ndarray
     clipped: bool
 
 
@@ -213,8 +211,8 @@ def sigma_tau_batch(
     pieces: SandwichPieces, eta, gamma, variant: str, errs: ReplicateErrors
 ):
     """estimate_sigma_tau for b fits at once, on the pieces of
-    sandwich_batch with eta and gamma (b,).  Returns (sigma2_tau, D, H1, H2,
-    clipped, A1inv, A2inv), each with a leading replicate axis."""
+    sandwich_batch with eta and gamma (b,).  Returns (sigma2_tau, D, clipped,
+    A1inv, A2inv), each with a leading replicate axis."""
     check_variant(variant)
     A1inv = _checked_inverse(pieces.A1, "A1", errs)
     A2inv = _checked_inverse(pieces.A2, "A2", errs)
@@ -266,7 +264,7 @@ def sigma_tau_batch(
     )
     clipped = s2 < 0.0
     s2 = np.where(clipped, 0.0, s2)
-    return s2, D, H1, H2, clipped, A1inv, A2inv
+    return s2, D, clipped, A1inv, A2inv
 
 
 def estimate_sigma_tau(
@@ -280,7 +278,7 @@ def estimate_sigma_tau(
     ``variant`` selects the H1 scalar-factor convention (see module
     docstring)."""
     errs = ReplicateErrors(1)
-    s2, D, H1, H2, clipped, A1inv, A2inv = sigma_tau_batch(
+    s2, D, clipped, A1inv, A2inv = sigma_tau_batch(
         _map_pieces(pieces, lambda a: np.asarray(a, dtype=float)[None]),
         np.array([eta_hat]),
         np.array([gamma_hat]),
@@ -290,7 +288,7 @@ def estimate_sigma_tau(
     errs.raise_first()
     Sigma = _joint_covariance(A1inv[0], A2inv[0], pieces.A3, sigma2_hat, gamma_hat)
     return VarianceEstimates(
-        Sigma=Sigma, sigma2_tau=float(s2[0]), D=D[0], H1=H1[0], H2=H2[0], clipped=bool(clipped[0])
+        Sigma=Sigma, sigma2_tau=float(s2[0]), D=D[0], clipped=bool(clipped[0])
     )
 
 

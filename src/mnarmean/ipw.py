@@ -22,6 +22,7 @@ BISECT_TOL = 1e-10
 GAMMA_LATTICE = (-2.0, -1.0, 0.0, 1.0, 2.0)
 #: the line-search steps tried after a rejected full step: 1/2, ..., 2^-29
 HALVINGS = 0.5 ** np.arange(1, 30)
+GN_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -46,10 +47,6 @@ class IpwFit:
         return float(self.theta_hat[-1])
 
 
-def _g_matrix(ds: Dataset, basis_g: list[BasisTerm]) -> np.ndarray:
-    return np.column_stack([t.evaluate(ds.x) for t in basis_g])
-
-
 class _MomentWorkspace:
     """Precomputed observed-row pieces: the r=0 rows contribute the constant
     -sum_miss g_j(x), so only observed-row exponentials vary with theta.
@@ -62,7 +59,7 @@ class _MomentWorkspace:
     use a returned weight array before the next call."""
 
     def __init__(self, ds: Dataset, basis_g: list[BasisTerm], cfg: ModelConfig):
-        G = _g_matrix(ds, basis_g)
+        G = np.column_stack([t.evaluate(ds.x) for t in basis_g])
         obs = ds.r == 1
         self.n = ds.n
         self.obs = obs
@@ -76,8 +73,14 @@ class _MomentWorkspace:
         self._EV = np.empty((len(GAMMA_LATTICE),) + self.VT.shape)
 
     def _weights(self, theta: np.ndarray) -> np.ndarray:
-        """e^{theta' v} at the observed rows, for theta (p,) or (k, p)."""
-        out = self._E[0] if theta.ndim == 1 else self._E[: len(theta)]
+        """e^{theta' v} at the observed rows, for theta (p,) or (k, p); a
+        stack larger than the scratch rows gets an array of its own."""
+        if theta.ndim == 1:
+            out = self._E[0]
+        elif len(theta) <= len(self._E):
+            out = self._E[: len(theta)]
+        else:
+            out = np.empty((len(theta), self.VT.shape[1]))
         return np.exp(np.matmul(theta, self.VT, out=out), out=out)
 
     def moments(self, theta: np.ndarray) -> np.ndarray:
@@ -86,10 +89,11 @@ class _MomentWorkspace:
             return (self._weights(theta) @ self.G_obs - self.miss_sum) / self.n
 
     def moments_and_jacobians(self, thetas: np.ndarray):
-        """m (k, L) and the transposed Jacobians dm/dtheta (k, p, L) at k
-        thetas (k, p) from one product: v's first entry is 1, so the sums
-        sum_obs e_i v_ij g_l(x_i) at j = 0 are the moment sums.  Callers
-        silence the overflow warnings, as _gauss_newton does."""
+        """m (k, L) and the transposed Jacobians dm/dtheta (k, p, L) at
+        k <= len(GAMMA_LATTICE) thetas (k, p) from one product: v's first
+        entry is 1, so the sums sum_obs e_i v_ij g_l(x_i) at j = 0 are the
+        moment sums.  Callers silence the overflow warnings, as _gauss_newton
+        does."""
         k, p = thetas.shape
         EV = np.multiply(self._weights(thetas)[:, None, :], self.VT, out=self._EV[:k])
         S = (EV.reshape(k * p, -1) @ self.G_obs).reshape(k, p, -1)
@@ -200,7 +204,7 @@ def _objective(m: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _gauss_newton(ws: _MomentWorkspace, theta0: np.ndarray, W: np.ndarray, max_iter: int = 200):
+def _gauss_newton(ws: _MomentWorkspace, theta0: np.ndarray, W: np.ndarray):
     """Damped Gauss-Newton on the weighted moment objective m' W m with the
     analytic moment Jacobian, for a stack of starts theta0 (k, p) on one
     dataset.  Each start runs on its own until one of these holds:
@@ -210,7 +214,7 @@ def _gauss_newton(ws: _MomentWorkspace, theta0: np.ndarray, W: np.ndarray, max_i
     - max |gradient| < 1e-8 (1 + obj) (converged);
     - no step of 1, 1/2, ..., 2^-29 reaches finite moments with a finite,
       lower objective (converged if max |gradient| < 1e-6 (1 + obj));
-    - max_iter iterations have run (not converged).
+    - GN_MAX_ITER iterations have run (not converged).
 
     The state of the running starts is kept in compact arrays, so a start
     that has stopped costs nothing.  Returns (theta, obj, converged, ok),
@@ -233,7 +237,7 @@ def _gauss_newton(ws: _MomentWorkspace, theta0: np.ndarray, W: np.ndarray, max_i
         run, th, m, obj, JT = run[keep], th[keep], m[keep], obj[keep], JT[keep]
         gmax, delta = gmax[keep], delta[keep]
 
-    for _ in range(max_iter):
+    for _ in range(GN_MAX_ITER):
         grad = 2.0 * (JT @ (W @ m[..., None]))
         gmax = np.abs(grad).max(axis=(1, 2))
         delta = -grad

@@ -71,6 +71,8 @@ def mgf_batch(res: np.ndarray, t: np.ndarray, errs: ReplicateErrors, obs=None):
 
 def _mgf(residuals: np.ndarray, t: float):
     residuals = np.asarray(residuals, dtype=float)
+    if residuals.size == 0:
+        raise DegenerateDataError("the empirical MGF requires at least one residual")
     errs = ReplicateErrors(1)
     out = mgf_batch(residuals[None], np.array([float(t)]), errs)
     errs.raise_first()
@@ -80,8 +82,6 @@ def _mgf(residuals: np.ndarray, t: float):
 def empirical_mgf(residuals: np.ndarray, t: float) -> tuple[float, float]:
     """(M1_hat(t), M2_hat(t)) = (mean e^{t eps}, mean eps e^{t eps}), computed
     by factoring out max(t*eps) so the intermediate sums cannot overflow."""
-    if np.size(residuals) == 0:
-        raise DegenerateDataError("empirical_mgf requires at least one residual")
     m1, m2, _ = _mgf(residuals, t)
     return m1, m2
 

@@ -38,10 +38,6 @@ class PropensityFit:
     gradient_norm: float
 
     @property
-    def alpha_hat(self) -> float:
-        return float(self.theta_hat[0])
-
-    @property
     def gamma_hat(self) -> float:
         return float(self.theta_hat[-1])
 
@@ -109,17 +105,11 @@ def _hessian(zt, pi, t, zw):
     return -(np.multiply(zt, w[..., None, :], out=zw) @ zt.swapaxes(-1, -2))
 
 
-def _loglik(r, zt, theta):
-    """l_n for b fits at once: r (b, n), zt (b, p, n), the transposed z, and
-    theta (b, p)."""
-    u = _predictor(theta, zt)
-    return _loglik_u(u, 1 - r, np.empty_like(u), np.empty_like(u))
-
-
 def log_conditional_likelihood_z(r, z, theta) -> float:
     """l_n(theta, xi_hat) = sum r log(pi) + (1-r) log(1-pi), stabilized, for
     z (n, p) as from _z_matrix."""
-    return float(_loglik(np.asarray(r)[None], z.T[None], np.asarray(theta, float)[None])[0])
+    u = _predictor(np.asarray(theta, float)[None], z.T[None])
+    return float(_loglik_u(u, 1 - np.asarray(r)[None], np.empty_like(u), np.empty_like(u))[0])
 
 
 def score_and_hessian_z(r, z, theta):
@@ -131,14 +121,6 @@ def score_and_hessian_z(r, z, theta):
     pi, t = np.empty_like(u), np.empty_like(u)
     score = _score_u(np.asarray(r)[None], zt, u, pi, t)
     return score[0], _hessian(zt, pi, t, np.empty(zt.shape))[0]
-
-
-def propensity_probabilities(
-    ds: Dataset, mu_hat: np.ndarray, theta: np.ndarray, cfg: ModelConfig
-) -> np.ndarray:
-    """Fitted pr(R=1 | x_i) for every row."""
-    z = _z_matrix(ds, mu_hat, cfg)
-    return _pr_observed(z @ np.asarray(theta, float))
 
 
 @np.errstate(all="ignore")

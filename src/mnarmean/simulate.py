@@ -46,11 +46,6 @@ class GaussianMixture:
     def mean(self) -> float:
         return float(np.sum(self.weights * self.means))
 
-    @property
-    def variance(self) -> float:
-        w, m, s2 = self.weights, self.means, self.variances
-        return float(np.sum(w * (s2 + m**2)) - self.mean**2)
-
     def m1(self, t: float) -> float:
         """E e^{t eps} = sum w_k exp(t m_k + t^2 s_k^2 / 2)."""
         w, m, s2 = self.weights, self.means, self.variances
@@ -129,10 +124,6 @@ class Scenario:
             raise UsageError(
                 "mean basis lies in the span of {1, x1}: theta is not identifiable"
             )
-
-    @property
-    def d(self) -> int:
-        return len(self.covariate_law)
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(mean_basis=self.mean_basis, x1_columns=self.x1_columns)

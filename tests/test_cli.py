@@ -53,6 +53,20 @@ def test_fit_deterministic_bytes(cli_files):
     assert obj["bootstrap_successful"] + sum(counts.values()) == 100
 
 
+def test_fit_percentile_bootstrap(cli_files):
+    root, data, cfg = cli_files
+    a, b = root / "pct-a.json", root / "pct-b.json"
+    for out in (a, b):
+        assert main([
+            "fit", "--data", data, "--model-config", cfg, "--bootstrap", "99",
+            "--bootstrap-method", "percentile", "--out", str(out),
+        ]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    obj = json.loads(a.read_text(encoding="utf-8"))
+    assert obj["bootstrap_method"] == "bootstrap_percentile"
+    assert obj["bootstrap_successful"] + sum(obj["bootstrap_failure_counts"].values()) == 99
+
+
 @pytest.mark.parametrize("variant", [None, "alternative", "derived"])
 def test_fit_reports_the_variant(cli_files, variant):
     """The JSON names the H1 variant that gave sigma2_tau (printed by default)."""

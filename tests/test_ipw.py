@@ -178,6 +178,12 @@ def test_profile_is_intercept_moment():
         assert v == m[0]
     direct = (np.sum(np.exp(-0.5 + 0.7 * ds.x[ds.r == 1, 0] + 0.5 * ds.y[ds.r == 1]) + 1)) / ds.n - 1
     assert prof.values[6] == pytest.approx(direct, rel=1e-12)
+    # a stack of 40 thetas, more than the workspace's scratch rows
+    thetas = np.column_stack([np.full(40, -0.5), np.full(40, 0.7), np.linspace(-1.0, 1.0, 40)])
+    stacked = ipw_moments(ds, thetas, [BasisTerm((0, 0))], CFG2)
+    assert stacked.shape == (40, 1)
+    for theta, m in zip(thetas, stacked):
+        assert m == pytest.approx(ipw_moments(ds, theta, [BasisTerm((0, 0))], CFG2), rel=1e-12)
 
 
 def test_gmm_needs_enough_basis_functions():

@@ -44,8 +44,9 @@ def test_overflow_error_names_offender():
 
 
 def test_empty_residuals_degenerate():
-    with pytest.raises(DegenerateDataError):
-        empirical_mgf(np.empty(0), 1.0)
+    for fn in (empirical_mgf, mgf_ratio):
+        with pytest.raises(DegenerateDataError, match="at least one residual"):
+            fn(np.empty(0), 1.0)
 
 
 def test_log_mgf_derivative_identity():
