@@ -1,0 +1,46 @@
+"""Scratch memory that the replicate kernels share across the chunks of one
+bootstrap call.
+
+A chunk of resamples needs a few (b, k, n) arrays of several hundred kB to
+2 MB each.  Allocated afresh per chunk, glibc returns that memory to the
+system when the chunk frees it and faults it back in for the next chunk.
+A ``Workspace`` keeps one buffer per named slot instead, and the kernels
+carve their arrays from it.  Arrays that are never live at the same time
+can share a slot.  Nothing a kernel returns may be a view into a
+workspace, since the next chunk overwrites it."""
+
+from __future__ import annotations
+
+from itertools import accumulate
+from math import prod
+
+import numpy as np
+
+
+class Workspace:
+    """Float buffers by slot name, each grown to the largest request it
+    has served."""
+
+    def __init__(self):
+        self.buffers: dict[str, np.ndarray] = {}
+
+    def arrays(self, slot: str, *shapes):
+        """Disjoint C-contiguous arrays of the given shapes, from the front
+        of the slot's buffer; their contents are undefined."""
+        sizes = [prod(shape) for shape in shapes]
+        if slot not in self.buffers or self.buffers[slot].size < sum(sizes):
+            self.buffers.pop(slot, None)  # freed before its successor is made
+            self.buffers[slot] = np.empty(sum(sizes))
+        buf = self.buffers[slot]
+        return [
+            buf[end - size : end].reshape(shape)
+            for shape, size, end in zip(shapes, sizes, accumulate(sizes))
+        ]
+
+
+def scratch(workspace: Workspace | None, slot: str, *shapes):
+    """np.empty of each shape without a workspace, else its arrays in
+    ``slot``."""
+    if workspace is None:
+        return [np.empty(shape) for shape in shapes]
+    return workspace.arrays(slot, *shapes)

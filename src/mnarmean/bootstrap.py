@@ -2,8 +2,9 @@
 bootstrap-t and percentile.  Rows (r, y, x) are resampled jointly; quantiles
 use the type-7 (linear interpolation) convention so results are bit-exact
 for a fixed seed.  Resamples are drawn from per-resample child seeds and
-fitted together in chunks.  The two-step fits check identifiability on the
-original sample only, as fit_mean_response does."""
+fitted together in chunks, which share one workspace of scratch arrays.
+The two-step fits check identifiability on the original sample only, as
+fit_mean_response does."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._workspace import Workspace
 from .data import Dataset, ModelConfig
 from .errors import (
     MgfOverflowError,
@@ -66,11 +68,12 @@ def t_interval_from_stats(
 def _resample(ds: Dataset, B: int, seed: int, fit, statistic):
     """The pairs-bootstrap loop shared by both intervals.  Runs ``fit`` on the
     original sample, then draws the B resamples, each from its own child RNG,
-    in chunks of about CHUNK_ROWS rows.  ``statistic(idx, fit(ds))`` gets the
-    row indices (b, n) of a chunk's resamples and returns their b statistics
-    with the ReplicateErrors that failed some of them; failures are counted
-    by error code.  Returns (fit(ds), statistics of the resamples that
-    succeeded, failure counts)."""
+    in chunks of about CHUNK_ROWS rows.  ``statistic(idx, fit(ds),
+    workspace)`` gets the row indices (b, n) of a chunk's resamples and a
+    Workspace that every chunk of this call reuses, and returns their b
+    statistics with the ReplicateErrors that failed some of them; failures
+    are counted by error code.  Returns (fit(ds), statistics of the
+    resamples that succeeded, failure counts)."""
     if B < 99:
         raise UsageError(f"B must be >= 99, got {B}")
     original = fit(ds)
@@ -78,13 +81,14 @@ def _resample(ds: Dataset, B: int, seed: int, fit, statistic):
     size = max(1, CHUNK_ROWS // ds.n)
     values = []
     failures: dict = {}
+    workspace = Workspace()
     for start in range(0, B, size):
         idx = np.stack([rng.integers(0, ds.n, size=ds.n) for rng in rngs[start : start + size]])
         n1 = ds.r[idx].sum(axis=1)
         fitted = np.flatnonzero((n1 > 0) & (n1 < ds.n))
         codes = ["DEGENERATE"] * len(idx)
         if fitted.size:
-            stats, errs = statistic(idx[fitted], original)
+            stats, errs = statistic(idx[fitted], original, workspace)
             values.extend(stats[errs.ok])
             for j, exc in zip(fitted, errs.errors):
                 codes[j] = None if exc is None else exc.code
@@ -115,8 +119,8 @@ def bootstrap_t_ci(
         tau, _, var = fit_with_variance(sample, cfg, variant)
         return tau.tau_hat, var.sigma2_tau
 
-    def t_star(idx, original):
-        fits = fit_replicates(ds, cfg, idx, variant)
+    def t_star(idx, original, workspace):
+        fits = fit_replicates(ds, cfg, idx, variant, workspace=workspace)
         s2 = fits.sigma2_tau
         fits.errors.record(
             np.flatnonzero(~fits.converged | (s2 <= 0)),
@@ -157,10 +161,11 @@ def bootstrap_percentile_ci(
             identified_outcome(sample, cfg)
         return point_estimate(estimator_tag, sample, cfg)[0]
 
-    def tau_star(idx, _):
+    def tau_star(idx, _, workspace):
         if estimator_tag in ("proposed", "normal_plugin"):
             fits = fit_replicates(
-                ds, cfg, idx, variance=False, normal_plugin=estimator_tag == "normal_plugin"
+                ds, cfg, idx, variance=False,
+                normal_plugin=estimator_tag == "normal_plugin", workspace=workspace,
             )
             taus, converged, errs = fits.tau, fits.converged, fits.errors
         else:

@@ -135,21 +135,24 @@ def fit_replicates(
     variant: str = "printed",
     variance: bool = True,
     normal_plugin: bool = False,
+    workspace=None,
 ) -> ReplicateFits:
     """fit_with_variance (or, with ``variance=False``, fit_tau_only) on b
     resamples of ``ds`` at once; row j of ``idx`` (b, n) holds the row
     indices of resample j.  The rows are gathered once, and every step runs
     the batched form of its single-fit function, so resample j gets the
-    numbers and the error its own fit would give."""
+    numbers and the error its own fit would give.  The kernels carve their
+    large scratch arrays from ``workspace`` if one is given; no returned
+    array lies in it."""
     b, n = idx.shape
     star = ds.take(idx.ravel())
     dm = build_design(star, cfg)
     M = dm.M.reshape(b, n, -1)
     r = star.r.reshape(b, n).astype(float)
     errs = ReplicateErrors(b)
-    _, mu, eps, sigma2 = least_squares_batch(M, r, star.y.reshape(b, n), errs)
-    z = z_stack(dm.X1.reshape(b, n, -1), mu)
-    theta, _, _, gnorm = newton_batch(z, r, errs)
+    _, mu, eps, sigma2 = least_squares_batch(M, r, star.y.reshape(b, n), errs, workspace)
+    z = z_stack(dm.X1.reshape(b, n, -1), mu, workspace)
+    theta, _, _, gnorm = newton_batch(z, r, errs, workspace)
     eta = r.sum(axis=1) / n
     tau, *_ = tau_batch(
         eta, mu.mean(axis=1), theta, eps, errs, obs=r == 1,
@@ -157,7 +160,7 @@ def fit_replicates(
     )
     sigma2_tau = None
     if variance:
-        pieces = sandwich_batch(M, r, eps, mu, z, theta, errs)
+        pieces = sandwich_batch(M, r, eps, mu, z, theta, errs, workspace)
         sigma2_tau = sigma_tau_batch(pieces, eta, theta[:, -1], variant, errs)[0]
     return ReplicateFits(
         tau=tau, sigma2_tau=sigma2_tau, converged=gnorm < SCORE_TOL, errors=errs

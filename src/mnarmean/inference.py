@@ -18,6 +18,7 @@ from statistics import NormalDist
 
 import numpy as np
 
+from ._workspace import scratch
 from .data import Dataset, DesignMatrices, ModelConfig
 from .errors import (
     MgfOverflowError,
@@ -70,19 +71,21 @@ def _residual_rows(ds, outcome_fit):
     return ds.r.astype(float), eps
 
 
-def _A_matrices(Mt, r, zt, pi):
+def _A_matrices(Mt, r, zt, pi, workspace=None):
     """A1 = n^-1 sum r M_i' M_i,  A2 = n^-1 sum w_i z_i z_i',
     A3 = n^-1 sum w_i z_i M_i,  A4 = n^-1 sum M_i',  w_i = pi_i (1 - pi_i),
     from the feature-major Mt (..., q, n) and zt (..., p, n); grad_xi mu is
     the basis row M_i (mu is linear in xi) and grad_theta phi = z_i =
-    (1, x1_i, mu_hat_i)."""
+    (1, x1_i, mu_hat_i).  The two products weighted per row lie in the
+    ``arena`` slot of ``workspace`` if one is given."""
     n = Mt.shape[-1]
+    Mr, zw = scratch(workspace, "arena", Mt.shape, zt.shape)
     w = 1.0 - pi
     w *= pi
-    zw = zt * w[..., None, :]
+    np.multiply(zt, w[..., None, :], out=zw)
     Mtt, ztt = Mt.swapaxes(-1, -2), zt.swapaxes(-1, -2)
     return (
-        (Mt * r[..., None, :]) @ Mtt / n,
+        np.multiply(Mt, r[..., None, :], out=Mr) @ Mtt / n,
         zw @ ztt / n,
         zw @ Mtt / n,
         Mt.mean(axis=-1),
@@ -129,14 +132,15 @@ def _joint_covariance(A1inv, A2inv, A3, sigma2_hat, gamma_hat) -> np.ndarray:
     return (Sigma + Sigma.T) / 2.0
 
 
-def _score_rows(Mt, mu_hat, r, zt, pi, eps, e, B):
+def _score_rows(Mt, mu_hat, r, zt, pi, eps, e, B, workspace=None):
     """Per-row estimating-function residuals S_hat (..., q + p + 4, n),
     feature-major, of psi = (r - eta, M r eps, z (r - pi), mu - mu_bar,
     r e^{g eps} - B1, r eps e^{g eps} - B2), for Mt and zt as in
-    _A_matrices."""
+    _A_matrices; they lie in the ``arena`` slot of ``workspace`` if one is
+    given."""
     B1, B2, _ = B
     q, p = Mt.shape[-2], zt.shape[-2]
-    S = np.empty(mu_hat.shape[:-1] + (q + p + 4, mu_hat.shape[-1]))
+    (S,) = scratch(workspace, "arena", mu_hat.shape[:-1] + (q + p + 4, mu_hat.shape[-1]))
     np.subtract(r, r.mean(axis=-1, keepdims=True), out=S[..., 0, :])
     np.multiply(Mt, (r * eps)[..., None, :], out=S[..., 1 : 1 + q, :])
     np.multiply(zt, (r - pi)[..., None, :], out=S[..., 1 + q : 1 + q + p, :])
@@ -148,25 +152,32 @@ def _score_rows(Mt, mu_hat, r, zt, pi, eps, e, B):
 
 
 @np.errstate(all="ignore")
-def sandwich_batch(M, r, eps, mu_hat, z, theta, errs: ReplicateErrors) -> SandwichPieces:
+def sandwich_batch(
+    M, r, eps, mu_hat, z, theta, errs: ReplicateErrors, workspace=None
+) -> SandwichPieces:
     """build_sandwich for b fits at once: M (b, n, q), r, eps and mu_hat
     (b, n), z (b, n, p) and theta (b, p).  Every piece gains a leading
-    replicate axis, and B is a tuple of three (b,) arrays."""
-    n = M.shape[1]
+    replicate axis, and B is a tuple of three (b,) arrays.  With a
+    ``workspace``, pi and the tilts come from its ``rows`` slot, and the
+    scratch arrays of the A-matrices and of B, and then the score rows, from
+    its ``arena``."""
+    b, n, _ = M.shape
     Mt = np.ascontiguousarray(M.swapaxes(1, 2))
     zt = np.ascontiguousarray(z.swapaxes(1, 2))
-    pi = _pr_observed(_predictor(theta, zt))
-    s = theta[:, -1:] * eps
+    pi, s = scratch(workspace, "rows", (b, n), (b, n))
+    _pr_observed(_predictor(theta, zt), out=pi)
+    np.multiply(theta[:, -1:], eps, out=s)
     check_mgf_range(s, errs, obs=r == 1)
     e = np.exp(s, out=s)
     e *= r
-    A1, A2, A3, A4 = _A_matrices(Mt, r, zt, pi)
-    ee = eps * e
-    B = (e.mean(axis=1), ee.mean(axis=1), (eps * ee).mean(axis=1))
+    A1, A2, A3, A4 = _A_matrices(Mt, r, zt, pi, workspace)
+    ee, eee = scratch(workspace, "arena", (b, n), (b, n))
+    np.multiply(eps, e, out=ee)
+    B = (e.mean(axis=1), ee.mean(axis=1), np.multiply(eps, ee, out=eee).mean(axis=1))
     C1 = (Mt @ e[..., None])[..., 0] / n
     C2 = (Mt @ ee[..., None])[..., 0] / n
-    del ee  # a (b, n) array; freed before the score rows are formed
-    S = _score_rows(Mt, mu_hat, r, zt, pi, eps, e, B)
+    del ee, eee  # the score rows take their place in a workspace's arena
+    S = _score_rows(Mt, mu_hat, r, zt, pi, eps, e, B, workspace)
     V = S @ S.swapaxes(-1, -2) / n
     return SandwichPieces(A1=A1, A2=A2, A3=A3, A4=A4, B=B, C1=C1, C2=C2, V=V)
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._workspace import scratch
 from .data import Dataset, ModelConfig, select_x1
 from .errors import (
     DegenerateDataError,
@@ -42,11 +43,12 @@ class PropensityFit:
         return float(self.theta_hat[-1])
 
 
-def z_stack(x1: np.ndarray, mu_hat: np.ndarray) -> np.ndarray:
+def z_stack(x1: np.ndarray, mu_hat: np.ndarray, workspace=None) -> np.ndarray:
     """z_i = (1, x1_i, mu_hat_i) for x1 (..., n, p - 2) and mu_hat (..., n).
     The array is stored feature-major, so its transpose, which the Newton and
-    sandwich kernels read, is contiguous."""
-    zt = np.empty(mu_hat.shape[:-1] + (x1.shape[-1] + 2, mu_hat.shape[-1]))
+    sandwich kernels read, is contiguous; it lies in the ``z`` slot of
+    ``workspace`` if one is given."""
+    (zt,) = scratch(workspace, "z", mu_hat.shape[:-1] + (x1.shape[-1] + 2, mu_hat.shape[-1]))
     zt[..., 0, :] = 1.0
     zt[..., 1:-1, :] = x1.swapaxes(-1, -2)
     zt[..., -1, :] = mu_hat
@@ -124,13 +126,15 @@ def score_and_hessian_z(r, z, theta):
 
 
 @np.errstate(all="ignore")
-def newton_batch(z: np.ndarray, r: np.ndarray, errs: ReplicateErrors):
+def newton_batch(z: np.ndarray, r: np.ndarray, errs: ReplicateErrors, workspace=None):
     """Newton iterations with step halving from the intercept-only optimum,
     for b fits at once: z (b, n, p), r (b, n) float.  Each replicate follows
     the rules of a single fit on its own and stops when its score is below
     SCORE_TOL, when no halved step improves it, or when it fails.  Returns
     theta (b, p), the log-likelihood (b,), the iteration count (b,) and the
-    final max |score| (b,)."""
+    final max |score| (b,).  With a ``workspace``, the (b, n) scratch arrays
+    come from its ``rows`` slot and the two (b, p, n) ones from its
+    ``arena``."""
     b, n, p = z.shape
     zt = np.ascontiguousarray(z.swapaxes(1, 2))
     n1 = r.sum(axis=1)
@@ -142,14 +146,18 @@ def newton_batch(z: np.ndarray, r: np.ndarray, errs: ReplicateErrors):
     theta = np.zeros((b, p))
     theta[:, 0] = np.where(errs.ok, np.log((n - n1) / n1), 0.0)
     rc = 1 - r
-    t1, t2, zw = np.empty((b, n)), np.empty((b, n)), np.empty_like(zt)
+    t1, t2 = scratch(workspace, "rows", (b, n), (b, n))
+    if workspace is None:  # the compaction buffer is made once a member stops
+        zw, zbuf = np.empty_like(zt), None
+    else:
+        zw, zbuf = workspace.arrays("arena", zt.shape, zt.shape)
     u = _predictor(theta, zt)  # theta'z, updated with every accepted step
     ll = _loglik_u(u, rc, t1, t2)
     iterations = np.zeros(b, dtype=np.int64)
     active = errs.ok.copy()
     # zt, r and 1 - r at the replicates ``held``: all of them until one stops,
     # and then gathered from zt into one buffer
-    held, zh, rh, rch, zbuf = np.arange(b), zt, r, rc, None
+    held, zh, rh, rch = np.arange(b), zt, r, rc
 
     def hold(rows):
         nonlocal held, zh, rh, rch, zbuf

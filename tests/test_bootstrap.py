@@ -357,3 +357,115 @@ def test_bootstraps_check_identifiability_on_the_original_sample():
         with pytest.raises(IdentifiabilityError) as got:
             bootstrap_percentile_ci(tag, ds, cfg, B=99, seed=2)
         assert str(got.value) == message
+
+
+def _interval(kind, ds, cfg, B, seed):
+    """(resample statistics, CI endpoints, failure counts) of one interval:
+    ``printed`` and ``derived`` bootstrap-t, or ``proposed`` and
+    ``normal_plugin`` percentile."""
+    import mnarmean.bootstrap as bs
+
+    kept, real_resample = [], bs._resample
+
+    def keep(*args):
+        out = real_resample(*args)
+        kept.append(out[1])
+        return out
+
+    bs._resample = keep
+    try:
+        if kind in ("printed", "derived"):
+            res = bootstrap_t_ci(ds, cfg, B=B, seed=seed, variant=kind)
+        else:
+            res = bootstrap_percentile_ci(kind, ds, cfg, B=B, seed=seed)
+    finally:
+        bs._resample = real_resample
+    return kept[0], (res.ci.lower, res.ci.upper), res.failure_counts
+
+
+@pytest.mark.parametrize("kind", ["printed", "derived", "proposed", "normal_plugin"])
+def test_workspace_reuse_is_invisible(monkeypatch, separating_data, kind):
+    """The chunks of one bootstrap call share a workspace; the statistics,
+    the interval and the failure counts are bit for bit those of chunks
+    that allocate their own arrays, and nothing fit_replicates returns lies
+    in the workspace.  Covered: 399 = 7 x 50 + 49 resamples at n = 500, so
+    the last chunk is smaller; the n = 25 data in chunks of 30, whose
+    DEGENERATE resample leaves a chunk of 29 and whose SEPARATION members
+    stop Newton early, so that its compaction buffer is used; and calls at
+    n = 500, 300 and 500 in turn."""
+    import mnarmean.bootstrap as bs
+
+    sc = example1(alpha0=-1.7, delta=1.0)
+    cfg = sc.model_config()
+    small, small_cfg = separating_data
+    cases = [
+        (generate_dataset(sc, n, seed=60 + k), cfg, 399, k) for k, n in enumerate((500, 300, 500))
+    ]
+    cases.append((small, small_cfg, 199, 35))
+    real_fit, aliased = bs.fit_replicates, []
+
+    def checked_fit(*args, workspace=None, **kwargs):
+        fits = real_fit(*args, workspace=workspace, **kwargs)
+        returned = [fits.tau, fits.sigma2_tau, fits.converged]
+        aliased.extend(
+            np.shares_memory(a, buf)
+            for a in returned
+            if a is not None
+            for buf in workspace.buffers.values()
+        )
+        return fits
+
+    def run_all(fit_replicates):
+        monkeypatch.setattr(bs, "fit_replicates", fit_replicates)
+        out = []
+        for ds, model, B, seed in cases:
+            monkeypatch.setattr(bs, "CHUNK_ROWS", 30 * ds.n if ds.n == 25 else 25_000)
+            out.append(_interval(kind, ds, model, B, seed))
+        return out
+
+    shared = run_all(checked_fit)
+    own = run_all(lambda *args, workspace=None, **kwargs: real_fit(*args, **kwargs))
+    assert aliased and not any(aliased)
+    assert shared[-1][2].get("DEGENERATE") == 1 and shared[-1][2].get("SEPARATION", 0) > 0
+    for (values, ci, failures), (ref_values, ref_ci, ref_failures) in zip(shared, own):
+        np.testing.assert_array_equal(values, ref_values)
+        assert ci == ref_ci
+        assert failures == ref_failures
+
+
+#: the workspace object, its dict and the headers of its buffers: under 1 kB,
+#: where one (b, n) array of a chunk of 50 resamples of 500 rows is 200 kB
+PEAK_SLACK = 2048
+
+
+def test_workspace_does_not_raise_the_peak_memory(monkeypatch):
+    """The tracemalloc peak of bootstrap_t_ci(B = 399) at n = 500 with the
+    shared workspace is no higher than with arrays allocated per chunk.
+    The workspace's buffers are carved so that at the peak, the score rows
+    of the sandwich, all of them are in use; what remains is the workspace
+    object itself, allowed for by PEAK_SLACK."""
+    import tracemalloc
+
+    import mnarmean.bootstrap as bs
+
+    sc = example1(alpha0=-1.7, delta=1.0)
+    ds, cfg = generate_dataset(sc, 500, seed=3), sc.model_config()
+    real_fit = bs.fit_replicates
+
+    def peak(fit_replicates):
+        monkeypatch.setattr(bs, "fit_replicates", fit_replicates)
+        bootstrap_t_ci(ds, cfg, B=399, seed=1)  # warm-up
+        tracemalloc.start()
+        try:
+            bootstrap_t_ci(ds, cfg, B=399, seed=2)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # the first traced call of a process also traces one-off caches
+    tracemalloc.start()
+    bootstrap_t_ci(ds, cfg, B=99, seed=5)
+    tracemalloc.stop()
+    shared = peak(real_fit)
+    own = peak(lambda *args, workspace=None, **kwargs: real_fit(*args, **kwargs))
+    assert shared <= own + PEAK_SLACK, (shared, own)
