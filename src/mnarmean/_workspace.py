@@ -1,13 +1,14 @@
-"""Scratch memory that the replicate kernels share across the chunks of one
-bootstrap call.
+"""Scratch memory that one computation reuses across its repeated steps: the
+replicate kernels across the chunks of one bootstrap call, and the IPW/GMM
+solver (``ipw._MomentWorkspace``) across its Gauss-Newton iterations.
 
 A chunk of resamples needs a few (b, k, n) arrays of several hundred kB to
-2 MB each.  Allocated afresh per chunk, glibc returns that memory to the
-system when the chunk frees it and faults it back in for the next chunk.
-A ``Workspace`` keeps one buffer per named slot instead, and the kernels
-carve their arrays from it.  Arrays that are never live at the same time
-can share a slot.  Nothing a kernel returns may be a view into a
-workspace, since the next chunk overwrites it."""
+2 MB each, and a solver iteration a few (k, p, n) arrays.  Allocated afresh
+each time, glibc returns that memory to the system when it is freed and
+faults it back in for the next step.  A ``Workspace`` keeps one buffer per
+named slot instead, and the callers carve their arrays from it.  Arrays
+that are never live at the same time can share a slot.  Nothing a kernel
+returns may be a view into a workspace, since the next step overwrites it."""
 
 from __future__ import annotations
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._workspace import Workspace
 from .data import BasisTerm, Dataset, ModelConfig, select_x1
 from .errors import NonConvergenceError, UsageError, linalg_each
 
@@ -52,11 +53,10 @@ class _MomentWorkspace:
     -sum_miss g_j(x), so only observed-row exponentials vary with theta.
     ``VT`` holds the observed rows' v = (1, x1, y) as columns.
 
-    The exponentials of up to len(HALVINGS) thetas and their v-products for
-    up to len(GAMMA_LATTICE) thetas are written into scratch arrays made
-    once per workspace: allocated afresh on every iteration, arrays of this
-    size make glibc trim and regrow the top of the heap each time.  Callers
-    use a returned weight array before the next call."""
+    The exponentials and their v-products are written into the buffers of
+    one ``Workspace``, which keeps glibc from trimming and regrowing the top
+    of the heap on every iteration.  Callers use a returned weight array
+    before the next call."""
 
     def __init__(self, ds: Dataset, basis_g: list[BasisTerm], cfg: ModelConfig):
         G = np.column_stack([t.evaluate(ds.x) for t in basis_g])
@@ -69,18 +69,11 @@ class _MomentWorkspace:
         self.VT = np.vstack(
             [np.ones(int(obs.sum())), select_x1(ds.x, cfg.x1_columns)[obs].T, ds.y[obs]]
         )
-        self._E = np.empty((len(HALVINGS), self.VT.shape[1]))
-        self._EV = np.empty((len(GAMMA_LATTICE),) + self.VT.shape)
+        self.workspace = Workspace()
 
     def _weights(self, theta: np.ndarray) -> np.ndarray:
-        """e^{theta' v} at the observed rows, for theta (p,) or (k, p); a
-        stack larger than the scratch rows gets an array of its own."""
-        if theta.ndim == 1:
-            out = self._E[0]
-        elif len(theta) <= len(self._E):
-            out = self._E[: len(theta)]
-        else:
-            out = np.empty((len(theta), self.VT.shape[1]))
+        """e^{theta' v} at the observed rows, for theta (p,) or (k, p)."""
+        (out,) = self.workspace.arrays("E", theta.shape[:-1] + self.VT.shape[1:])
         return np.exp(np.matmul(theta, self.VT, out=out), out=out)
 
     def moments(self, theta: np.ndarray) -> np.ndarray:
@@ -90,12 +83,12 @@ class _MomentWorkspace:
 
     def moments_and_jacobians(self, thetas: np.ndarray):
         """m (k, L) and the transposed Jacobians dm/dtheta (k, p, L) at
-        k <= len(GAMMA_LATTICE) thetas (k, p) from one product: v's first
-        entry is 1, so the sums sum_obs e_i v_ij g_l(x_i) at j = 0 are the
-        moment sums.  Callers silence the overflow warnings, as _gauss_newton
-        does."""
+        k thetas (k, p) from one product: v's first entry is 1, so the sums
+        sum_obs e_i v_ij g_l(x_i) at j = 0 are the moment sums.  Callers
+        silence the overflow warnings, as _gauss_newton does."""
         k, p = thetas.shape
-        EV = np.multiply(self._weights(thetas)[:, None, :], self.VT, out=self._EV[:k])
+        (EV,) = self.workspace.arrays("EV", (k,) + self.VT.shape)
+        np.multiply(self._weights(thetas)[:, None, :], self.VT, out=EV)
         S = (EV.reshape(k * p, -1) @ self.G_obs).reshape(k, p, -1)
         return (S[:, 0] - self.miss_sum) / self.n, S / self.n
 

@@ -30,17 +30,15 @@ class TauEstimate:
     alpha0_hat: float
 
 
-def check_mgf_range(s: np.ndarray, errs: ReplicateErrors, obs=None) -> None:
+def check_mgf_range(s: np.ndarray, errs: ReplicateErrors, obs: np.ndarray) -> None:
     """The one overflow rule for e^{t eps}: replicate j of s = t * eps (b, k)
-    fails with MgfOverflowError when an entry (of the mask ``obs``, if
-    given) exceeds MGF_RANGE in absolute value."""
-    bad = np.abs(s) > MGF_RANGE
-    if obs is not None:
-        bad &= obs
+    fails with MgfOverflowError when an entry of the mask ``obs`` (b, k)
+    exceeds MGF_RANGE in absolute value."""
+    bad = (np.abs(s) > MGF_RANGE) & obs
 
     def overflow(j):
         i = int(np.argmax(bad[j]))
-        index = i if obs is None else int(obs[j, :i].sum())
+        index = int(obs[j, :i].sum())  # its place among the masked entries
         return MgfOverflowError(
             f"t * residual = {s[j, i]:.3g} at residual index {index} exceeds the "
             f"stabilized range {MGF_RANGE:g}"
@@ -50,19 +48,18 @@ def check_mgf_range(s: np.ndarray, errs: ReplicateErrors, obs=None) -> None:
 
 
 @np.errstate(all="ignore")
-def mgf_batch(res: np.ndarray, t: np.ndarray, errs: ReplicateErrors, obs=None):
+def mgf_batch(res: np.ndarray, t: np.ndarray, errs: ReplicateErrors, obs: np.ndarray):
     """(M1_hat(t), M2_hat(t), M2_hat(t) / M1_hat(t)) for b residual vectors
-    at once: res (b, k) and t (b,); with the mask ``obs`` (b, k), only its
-    entries count.  max(t * eps) is factored out so that the sums cannot
-    overflow, and the ratio is formed without either factor, so it stays
-    bounded even when the MGF itself would overflow a float."""
+    at once: res (b, k) and t (b,), of which only the entries in the mask
+    ``obs`` (b, k) count.  max(t * eps) is factored out so that the sums
+    cannot overflow, and the ratio is formed without either factor, so it
+    stays bounded even when the MGF itself would overflow a float."""
     s = t[:, None] * res
     check_mgf_range(s, errs, obs)
-    if obs is not None:
-        s = np.where(obs, s, -np.inf)
+    s = np.where(obs, s, -np.inf)
     c = np.max(s, axis=1)
     w = np.exp(s - c[:, None])
-    k = res.shape[1] if obs is None else obs.sum(axis=1)
+    k = obs.sum(axis=1)
     sum_w = np.sum(w, axis=1)
     sum_rw = np.sum(res * w, axis=1)
     scale = np.exp(c)
@@ -74,7 +71,8 @@ def _mgf(residuals: np.ndarray, t: float):
     if residuals.size == 0:
         raise DegenerateDataError("the empirical MGF requires at least one residual")
     errs = ReplicateErrors(1)
-    out = mgf_batch(residuals[None], np.array([float(t)]), errs)
+    res = residuals[None]
+    out = mgf_batch(res, np.array([float(t)]), errs, np.ones(res.shape, dtype=bool))
     errs.raise_first()
     return [float(v[0]) for v in out]
 
@@ -93,10 +91,10 @@ def mgf_ratio(residuals: np.ndarray, t: float) -> float:
 
 
 @np.errstate(all="ignore")
-def tau_batch(eta, mu_mean, theta, eps, errs: ReplicateErrors, obs=None, sigma2=None):
+def tau_batch(eta, mu_mean, theta, eps, errs: ReplicateErrors, obs, sigma2=None):
     """(tau_hat, M1, M2, alpha0) for b fits at once: eta, mu_mean (b,),
     theta (b, p) and the residuals eps (b, k), of which only the entries in
-    the mask ``obs`` count when it is given.  With ``sigma2`` (b,) given, the
+    the mask ``obs`` (b, k) count.  With ``sigma2`` (b,) given, the
     normal-error plug-in replaces the empirical MGF."""
     errs.record(
         np.flatnonzero((eta == 0.0) | (eta == 1.0)),
@@ -116,12 +114,14 @@ def tau_batch(eta, mu_mean, theta, eps, errs: ReplicateErrors, obs=None, sigma2=
 def _estimate_tau(ds, outcome_fit, propensity_fit, mu_hat, normal_plugin):
     eta = ds.n_observed / ds.n
     errs = ReplicateErrors(1)
+    eps = outcome_fit.residuals[None]
     out = tau_batch(
         np.array([eta]),
         np.array([np.mean(mu_hat)]),
         propensity_fit.theta_hat[None],
-        outcome_fit.residuals[None],
+        eps,
         errs,
+        np.ones(eps.shape, dtype=bool),
         sigma2=np.array([outcome_fit.sigma2_hat]) if normal_plugin else None,
     )
     errs.raise_first()

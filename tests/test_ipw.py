@@ -178,12 +178,51 @@ def test_profile_is_intercept_moment():
         assert v == m[0]
     direct = (np.sum(np.exp(-0.5 + 0.7 * ds.x[ds.r == 1, 0] + 0.5 * ds.y[ds.r == 1]) + 1)) / ds.n - 1
     assert prof.values[6] == pytest.approx(direct, rel=1e-12)
-    # a stack of 40 thetas, more than the workspace's scratch rows
+    # a stack of 40 thetas: no stack size is special
     thetas = np.column_stack([np.full(40, -0.5), np.full(40, 0.7), np.linspace(-1.0, 1.0, 40)])
     stacked = ipw_moments(ds, thetas, [BasisTerm((0, 0))], CFG2)
     assert stacked.shape == (40, 1)
     for theta, m in zip(thetas, stacked):
         assert m == pytest.approx(ipw_moments(ds, theta, [BasisTerm((0, 0))], CFG2), rel=1e-12)
+
+
+def test_moments_and_jacobians_take_any_stack():
+    """A stack of 12 thetas, more than len(GAMMA_LATTICE), gives row by row
+    the moments and Jacobians of single-theta calls."""
+    from mnarmean.ipw import _MomentWorkspace
+
+    ds = _mar_big(n=2000, seed=37)
+    ws = _MomentWorkspace(ds, monomial_basis(2, 2), CFG2)
+    thetas = np.column_stack(
+        [np.linspace(-0.8, -0.2, 12), np.linspace(0.4, 1.0, 12), np.linspace(-1.0, 1.0, 12)]
+    )
+    assert len(thetas) > len(GAMMA_LATTICE)
+    m, JT = ws.moments_and_jacobians(thetas)
+    assert m.shape == (12, 6) and JT.shape == (12, 3, 6)
+    for theta, m_j, JT_j in zip(thetas, m, JT):
+        m1, JT1 = ws.moments_and_jacobians(theta[None])
+        np.testing.assert_allclose(m_j, m1[0], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(JT_j, JT1[0], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(m_j, ws.moments(theta), rtol=1e-12, atol=0)
+
+
+def test_gauss_newton_reuses_the_scratch_buffers():
+    """A second solve on one moment workspace allocates no new scratch
+    buffer and gives the first solve's results."""
+    from mnarmean.ipw import _gauss_newton, _lattice_starts, _MomentWorkspace
+
+    ds = _mar_big(n=2000, seed=38)
+    ws = _MomentWorkspace(ds, monomial_basis(2, 2), CFG2)
+    theta0, W = _lattice_starts(ds, CFG2), np.eye(6)
+    first = _gauss_newton(ws, theta0, W)
+    buffers = dict(ws.workspace.buffers)
+    assert buffers
+    second = _gauss_newton(ws, theta0, W)
+    assert ws.workspace.buffers.keys() == buffers.keys()
+    for slot, buf in buffers.items():
+        assert ws.workspace.buffers[slot] is buf
+    for a, b in zip(first, second):
+        assert np.array_equal(a, b)
 
 
 def test_gmm_needs_enough_basis_functions():

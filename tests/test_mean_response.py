@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from mnarmean.data import Dataset
 from mnarmean.errors import DegenerateDataError, MgfOverflowError
-from mnarmean.fitting import fit_tau_only
+from mnarmean.fitting import fit_mean_response, fit_tau_only
 from mnarmean.mean_response import empirical_mgf, mgf_ratio
-from mnarmean.simulate import example1, generate_dataset
+from mnarmean.simulate import example1, example2, generate_dataset
 
 
 def test_mgf_at_zero_is_exact():
@@ -85,8 +86,33 @@ def test_tau_invariances():
 
     # covariate rescaling with a matching basis leaves tau_hat unchanged:
     # x1 -> 2 x1 only relabels the design since every basis term is degree <= 1
-    from mnarmean.data import Dataset
-
     ds_s = Dataset(r=ds.r, y=ds.y, x=ds.x * np.array([2.0, 1.0]))
     tau_s, *_ = fit_tau_only(ds_s, cfg)
     assert tau_s.tau_hat == pytest.approx(tau.tau_hat, abs=1e-8)
+
+
+# (a, b) for y -> a + b y.  60 + y and 1e-2 y are left out: the separation
+# bound acts on |theta| in raw units, so they raise SeparationError on
+# Example 1.
+AFFINE_MAPS = [
+    (10.0, 1.0), (-10.0, 1.0), (30.0, 1.0), (0.0, 1e3), (0.0, 1e4),
+    (0.0, 0.1), (0.0, 0.5), (-5.0, 2.0), (5.0, 10.0), (1.0, -1.0),
+]
+
+
+@pytest.mark.parametrize("scenario", [example1, example2])
+def test_tau_is_affine_equivariant_in_y(scenario):
+    """tau_hat(a + b y) = a + b tau_hat(y), and the derived sigma2_tau
+    scales by b^2.  The printed and alternative variances are not scale
+    equivariant, so only derived is checked."""
+    sc = scenario()
+    ds = generate_dataset(sc, 2000, seed=5)
+    cfg = sc.model_config()
+    base = fit_mean_response(ds, cfg, variant="derived")
+    for a, b in AFFINE_MAPS:
+        fit = fit_mean_response(Dataset(r=ds.r, y=a + b * ds.y, x=ds.x), cfg, variant="derived")
+        expected = a + b * base.tau.tau_hat
+        assert abs(fit.tau.tau_hat - expected) <= 1e-9 * max(1.0, abs(expected)), (a, b)
+        assert fit.variance.sigma2_tau == pytest.approx(
+            b * b * base.variance.sigma2_tau, rel=1e-9
+        ), (a, b)
