@@ -1,6 +1,9 @@
 """Scratch memory that one computation reuses across its repeated steps: the
 replicate kernels across the chunks of one bootstrap call, and the IPW/GMM
-solver (``ipw._MomentWorkspace``) across its Gauss-Newton iterations.
+solver (``ipw._MomentWorkspace``) across its Gauss-Newton iterations.  The
+replicate kernels take their scratch from nowhere else: each b = 1 adapter
+(``fit_least_squares``, ``fit_propensity``, ``build_sandwich``) runs them on
+a fresh ``Workspace`` of its own.
 
 A chunk of resamples needs a few (b, k, n) arrays of several hundred kB to
 2 MB each, and a solver iteration a few (k, p, n) arrays.  Allocated afresh
@@ -38,10 +41,3 @@ class Workspace:
             for shape, size, end in zip(shapes, sizes, accumulate(sizes))
         ]
 
-
-def scratch(workspace: Workspace | None, slot: str, *shapes):
-    """np.empty of each shape without a workspace, else its arrays in
-    ``slot``."""
-    if workspace is None:
-        return [np.empty(shape) for shape in shapes]
-    return workspace.arrays(slot, *shapes)

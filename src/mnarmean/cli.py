@@ -109,7 +109,11 @@ def cmd_simulate(args) -> int:
         raise UsageError("--reps must be >= 1")
     if args.scenario not in SCENARIOS:
         raise UsageError(f"unknown scenario {args.scenario!r}")
-    sc = SCENARIOS[args.scenario](alpha0=args.alpha0, delta=args.delta)
+    # a flag left out keeps the scenario's own value; section2 has none to set
+    given = {k: v for k, v in (("alpha0", args.alpha0), ("delta", args.delta)) if v is not None}
+    if given and args.scenario == "section2":
+        raise UsageError("--scenario section2 is a fixed design: it takes no --alpha0 or --delta")
+    sc = SCENARIOS[args.scenario](**given)
     truth = compute_truth(sc, args.truth_draws, seed=np.random.SeedSequence((args.seed, 1)))
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     rows = run_study(
@@ -212,8 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="RB/MSE/NCR and coverage studies")
     p_sim.add_argument("--scenario", required=True)
-    p_sim.add_argument("--alpha0", type=float, default=-1.7)
-    p_sim.add_argument("--delta", type=float, default=0.0)
+    p_sim.add_argument("--alpha0", type=float, default=None,
+                       help="default: the scenario's own")
+    p_sim.add_argument("--delta", type=float, default=None,
+                       help="default: the scenario's own")
     p_sim.add_argument("--n", type=int, required=True)
     p_sim.add_argument("--reps", type=int, required=True)
     p_sim.add_argument("--methods", default="proposed")

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._workspace import Workspace
 from .data import (
     Dataset,
     DesignMatrices,
@@ -135,15 +136,15 @@ def fit_replicates(
     variant: str = "printed",
     variance: bool = True,
     normal_plugin: bool = False,
-    workspace=None,
+    *,
+    workspace: Workspace,
 ) -> ReplicateFits:
     """fit_with_variance (or, with ``variance=False``, fit_tau_only) on b
     resamples of ``ds`` at once; row j of ``idx`` (b, n) holds the row
     indices of resample j.  The rows are gathered once, and every step runs
     the batched form of its single-fit function, so resample j gets the
     numbers and the error its own fit would give.  The kernels carve their
-    large scratch arrays from ``workspace`` if one is given; no returned
-    array lies in it."""
+    large scratch arrays from ``workspace``; no returned array lies in it."""
     b, n = idx.shape
     star = ds.take(idx.ravel())
     dm = build_design(star, cfg)

@@ -18,8 +18,8 @@ from statistics import NormalDist
 
 import numpy as np
 
-from ._workspace import scratch
-from .data import Dataset, DesignMatrices, ModelConfig
+from ._workspace import Workspace
+from .data import Dataset, DesignMatrices, ModelConfig, select_x1
 from .errors import (
     MgfOverflowError,
     ReplicateErrors,
@@ -29,7 +29,7 @@ from .errors import (
 )
 from .mean_response import check_mgf_range
 from .outcome import OutcomeFit
-from .propensity import PropensityFit, _pr_observed, _predictor, _z_matrix
+from .propensity import PropensityFit, _pr_observed, _predictor, z_stack
 
 COND_LIMIT = 1e12
 
@@ -64,22 +64,15 @@ class VarianceEstimates:
     clipped: bool
 
 
-def _residual_rows(ds, outcome_fit):
-    """Per-row r_i and eps_i (0 where y is missing)."""
-    eps = np.zeros(ds.n)
-    eps[ds.r == 1] = outcome_fit.residuals
-    return ds.r.astype(float), eps
-
-
-def _A_matrices(Mt, r, zt, pi, workspace=None):
+def _A_matrices(Mt, r, zt, pi, workspace: Workspace):
     """A1 = n^-1 sum r M_i' M_i,  A2 = n^-1 sum w_i z_i z_i',
     A3 = n^-1 sum w_i z_i M_i,  A4 = n^-1 sum M_i',  w_i = pi_i (1 - pi_i),
     from the feature-major Mt (..., q, n) and zt (..., p, n); grad_xi mu is
     the basis row M_i (mu is linear in xi) and grad_theta phi = z_i =
     (1, x1_i, mu_hat_i).  The two products weighted per row lie in the
-    ``arena`` slot of ``workspace`` if one is given."""
+    ``arena`` slot of ``workspace``."""
     n = Mt.shape[-1]
-    Mr, zw = scratch(workspace, "arena", Mt.shape, zt.shape)
+    Mr, zw = workspace.arrays("arena", Mt.shape, zt.shape)
     w = 1.0 - pi
     w *= pi
     np.multiply(zt, w[..., None, :], out=zw)
@@ -132,15 +125,14 @@ def _joint_covariance(A1inv, A2inv, A3, sigma2_hat, gamma_hat) -> np.ndarray:
     return (Sigma + Sigma.T) / 2.0
 
 
-def _score_rows(Mt, mu_hat, r, zt, pi, eps, e, B, workspace=None):
+def _score_rows(Mt, mu_hat, r, zt, pi, eps, e, B, workspace: Workspace):
     """Per-row estimating-function residuals S_hat (..., q + p + 4, n),
     feature-major, of psi = (r - eta, M r eps, z (r - pi), mu - mu_bar,
     r e^{g eps} - B1, r eps e^{g eps} - B2), for Mt and zt as in
-    _A_matrices; they lie in the ``arena`` slot of ``workspace`` if one is
-    given."""
+    _A_matrices; they lie in the ``arena`` slot of ``workspace``."""
     B1, B2, _ = B
     q, p = Mt.shape[-2], zt.shape[-2]
-    (S,) = scratch(workspace, "arena", mu_hat.shape[:-1] + (q + p + 4, mu_hat.shape[-1]))
+    (S,) = workspace.arrays("arena", mu_hat.shape[:-1] + (q + p + 4, mu_hat.shape[-1]))
     np.subtract(r, r.mean(axis=-1, keepdims=True), out=S[..., 0, :])
     np.multiply(Mt, (r * eps)[..., None, :], out=S[..., 1 : 1 + q, :])
     np.multiply(zt, (r - pi)[..., None, :], out=S[..., 1 + q : 1 + q + p, :])
@@ -153,30 +145,29 @@ def _score_rows(Mt, mu_hat, r, zt, pi, eps, e, B, workspace=None):
 
 @np.errstate(all="ignore")
 def sandwich_batch(
-    M, r, eps, mu_hat, z, theta, errs: ReplicateErrors, workspace=None
+    M, r, eps, mu_hat, z, theta, errs: ReplicateErrors, workspace: Workspace
 ) -> SandwichPieces:
     """build_sandwich for b fits at once: M (b, n, q), r, eps and mu_hat
     (b, n), z (b, n, p) and theta (b, p).  Every piece gains a leading
-    replicate axis, and B is a tuple of three (b,) arrays.  With a
-    ``workspace``, pi and the tilts come from its ``rows`` slot, and the
-    scratch arrays of the A-matrices and of B, and then the score rows, from
-    its ``arena``."""
+    replicate axis, and B is a tuple of three (b,) arrays.  pi and the tilts
+    come from the ``rows`` slot of ``workspace``, and the scratch arrays of
+    the A-matrices and of B, and then the score rows, from its ``arena``."""
     b, n, _ = M.shape
     Mt = np.ascontiguousarray(M.swapaxes(1, 2))
     zt = np.ascontiguousarray(z.swapaxes(1, 2))
-    pi, s = scratch(workspace, "rows", (b, n), (b, n))
+    pi, s = workspace.arrays("rows", (b, n), (b, n))
     _pr_observed(_predictor(theta, zt), out=pi)
     np.multiply(theta[:, -1:], eps, out=s)
     check_mgf_range(s, errs, obs=r == 1)
     e = np.exp(s, out=s)
     e *= r
     A1, A2, A3, A4 = _A_matrices(Mt, r, zt, pi, workspace)
-    ee, eee = scratch(workspace, "arena", (b, n), (b, n))
+    ee, eee = workspace.arrays("arena", (b, n), (b, n))
     np.multiply(eps, e, out=ee)
     B = (e.mean(axis=1), ee.mean(axis=1), np.multiply(eps, ee, out=eee).mean(axis=1))
     C1 = (Mt @ e[..., None])[..., 0] / n
     C2 = (Mt @ ee[..., None])[..., 0] / n
-    del ee, eee  # the score rows take their place in a workspace's arena
+    del ee, eee  # the score rows take their place in the arena
     S = _score_rows(Mt, mu_hat, r, zt, pi, eps, e, B, workspace)
     V = S @ S.swapaxes(-1, -2) / n
     return SandwichPieces(A1=A1, A2=A2, A3=A3, A4=A4, B=B, C1=C1, C2=C2, V=V)
@@ -193,12 +184,13 @@ def build_sandwich(
     """The A-matrices, B_k = n^-1 sum r eps^{k-1} e^{g eps} (k=1,2,3),
     C_k = n^-1 sum r eps^{k-1} e^{g eps} M_i' (k=1,2), and V_hat = n^-1 S'S
     of the score rows: sandwich_batch with b = 1."""
-    r, eps = _residual_rows(ds, outcome_fit)
-    z = _z_matrix(ds, mu_hat, cfg)
-    errs = ReplicateErrors(1)
+    eps = np.zeros(ds.n)  # 0 where y is missing
+    eps[ds.r == 1] = outcome_fit.residuals
+    errs, workspace = ReplicateErrors(1), Workspace()
+    z = z_stack(select_x1(ds.x, cfg.x1_columns)[None], mu_hat[None], workspace)
     pieces = sandwich_batch(
-        dm.M[None], r[None], eps[None], mu_hat[None], z[None],
-        propensity_fit.theta_hat[None], errs,
+        dm.M[None], ds.r[None].astype(float), eps[None], mu_hat[None], z,
+        propensity_fit.theta_hat[None], errs, workspace,
     )
     errs.raise_first()
     return _map_pieces(pieces, lambda a: a[0])

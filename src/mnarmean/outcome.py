@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._workspace import scratch
+from ._workspace import Workspace
 from .data import Dataset, DesignMatrices
 from .errors import DegenerateDataError, ReplicateErrors, SingularDesignError
 
@@ -28,13 +28,13 @@ class OutcomeFit:
 
 
 @np.errstate(all="ignore")
-def least_squares_batch(M, r, y, errs: ReplicateErrors, workspace=None):
+def least_squares_batch(M, r, y, errs: ReplicateErrors, workspace: Workspace):
     """xi_hat = argmin sum_{r_i=1} (y_i - M_i xi)^2 for b designs at once:
     M (b, n, q), r and y (b, n).  Missing rows are zeroed, which leaves each
     fit that of its complete cases.  Returns xi (b, q), mu = M xi (b, n), the
     residuals eps (b, n), 0 where y is missing, and sigma2 (b,); a failed
     replicate has xi = 0.  The [M | y] block comes from the ``arena`` slot
-    of ``workspace`` if one is given."""
+    of ``workspace``."""
     b, n, q = M.shape
     obs = r == 1
     n1 = obs.sum(axis=1)
@@ -47,7 +47,7 @@ def least_squares_batch(M, r, y, errs: ReplicateErrors, workspace=None):
     # one R factor of [M | y] over the complete cases: its leading q x q block
     # is the R of M, and the column above its corner is Q'y, so that
     # xi = R^-1 Q'y needs no Q (Golub & Van Loan, Matrix Computations, 5.3)
-    (My,) = scratch(workspace, "arena", (b, q + 1, n))
+    (My,) = workspace.arrays("arena", (b, q + 1, n))
     np.multiply(M.swapaxes(1, 2), obs[:, None, :], out=My[:, :q])
     My[:, q] = np.where(obs, y, 0.0)
     Ry = np.linalg.qr(My.swapaxes(1, 2), mode="r")
@@ -78,7 +78,9 @@ def fit_least_squares(ds: Dataset, dm: DesignMatrices) -> OutcomeFit:
     """xi_hat = argmin sum_{r_i=1} (y_i - M_i xi)^2: least_squares_batch
     with b = 1."""
     errs = ReplicateErrors(1)
-    xi, _, eps, sigma2 = least_squares_batch(dm.M[None], ds.r[None], ds.y[None], errs)
+    xi, _, eps, sigma2 = least_squares_batch(
+        dm.M[None], ds.r[None], ds.y[None], errs, Workspace()
+    )
     errs.raise_first()
     obs = ds.r == 1
     return OutcomeFit(

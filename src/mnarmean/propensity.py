@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._workspace import scratch
+from ._workspace import Workspace
 from .data import Dataset, ModelConfig, select_x1
 from .errors import (
     DegenerateDataError,
@@ -43,12 +43,12 @@ class PropensityFit:
         return float(self.theta_hat[-1])
 
 
-def z_stack(x1: np.ndarray, mu_hat: np.ndarray, workspace=None) -> np.ndarray:
+def z_stack(x1: np.ndarray, mu_hat: np.ndarray, workspace: Workspace) -> np.ndarray:
     """z_i = (1, x1_i, mu_hat_i) for x1 (..., n, p - 2) and mu_hat (..., n).
     The array is stored feature-major, so its transpose, which the Newton and
     sandwich kernels read, is contiguous; it lies in the ``z`` slot of
-    ``workspace`` if one is given."""
-    (zt,) = scratch(workspace, "z", mu_hat.shape[:-1] + (x1.shape[-1] + 2, mu_hat.shape[-1]))
+    ``workspace``."""
+    (zt,) = workspace.arrays("z", mu_hat.shape[:-1] + (x1.shape[-1] + 2, mu_hat.shape[-1]))
     zt[..., 0, :] = 1.0
     zt[..., 1:-1, :] = x1.swapaxes(-1, -2)
     zt[..., -1, :] = mu_hat
@@ -56,7 +56,7 @@ def z_stack(x1: np.ndarray, mu_hat: np.ndarray, workspace=None) -> np.ndarray:
 
 
 def _z_matrix(ds: Dataset, mu_hat: np.ndarray, cfg: ModelConfig) -> np.ndarray:
-    return z_stack(select_x1(ds.x, cfg.x1_columns), mu_hat)
+    return z_stack(select_x1(ds.x, cfg.x1_columns), mu_hat, Workspace())
 
 
 @np.errstate(over="ignore")
@@ -126,14 +126,14 @@ def score_and_hessian_z(r, z, theta):
 
 
 @np.errstate(all="ignore")
-def newton_batch(z: np.ndarray, r: np.ndarray, errs: ReplicateErrors, workspace=None):
+def newton_batch(z: np.ndarray, r: np.ndarray, errs: ReplicateErrors, workspace: Workspace):
     """Newton iterations with step halving from the intercept-only optimum,
     for b fits at once: z (b, n, p), r (b, n) float.  Each replicate follows
     the rules of a single fit on its own and stops when its score is below
     SCORE_TOL, when no halved step improves it, or when it fails.  Returns
     theta (b, p), the log-likelihood (b,), the iteration count (b,) and the
-    final max |score| (b,).  With a ``workspace``, the (b, n) scratch arrays
-    come from its ``rows`` slot and the two (b, p, n) ones from its
+    final max |score| (b,).  The (b, n) scratch arrays come from the
+    ``rows`` slot of ``workspace`` and the two (b, p, n) ones from its
     ``arena``."""
     b, n, p = z.shape
     zt = np.ascontiguousarray(z.swapaxes(1, 2))
@@ -146,11 +146,8 @@ def newton_batch(z: np.ndarray, r: np.ndarray, errs: ReplicateErrors, workspace=
     theta = np.zeros((b, p))
     theta[:, 0] = np.where(errs.ok, np.log((n - n1) / n1), 0.0)
     rc = 1 - r
-    t1, t2 = scratch(workspace, "rows", (b, n), (b, n))
-    if workspace is None:  # the compaction buffer is made once a member stops
-        zw, zbuf = np.empty_like(zt), None
-    else:
-        zw, zbuf = workspace.arrays("arena", zt.shape, zt.shape)
+    t1, t2 = workspace.arrays("rows", (b, n), (b, n))
+    zw, zbuf = workspace.arrays("arena", zt.shape, zt.shape)
     u = _predictor(theta, zt)  # theta'z, updated with every accepted step
     ll = _loglik_u(u, rc, t1, t2)
     iterations = np.zeros(b, dtype=np.int64)
@@ -160,10 +157,8 @@ def newton_batch(z: np.ndarray, r: np.ndarray, errs: ReplicateErrors, workspace=
     held, zh, rh, rch = np.arange(b), zt, r, rc
 
     def hold(rows):
-        nonlocal held, zh, rh, rch, zbuf
+        nonlocal held, zh, rh, rch
         if rows.size < held.size:
-            if zbuf is None:
-                zbuf = np.empty((rows.size, p, n))
             zh = np.take(zt, rows, axis=0, out=zbuf[: rows.size], mode="clip")
             held, rh, rch = rows, r[rows], rc[rows]
 
@@ -239,10 +234,9 @@ def newton_batch(z: np.ndarray, r: np.ndarray, errs: ReplicateErrors, workspace=
 def fit_propensity(ds: Dataset, mu_hat: np.ndarray, cfg: ModelConfig) -> PropensityFit:
     """Newton iterations with step halving from the intercept-only optimum:
     newton_batch with b = 1."""
-    errs = ReplicateErrors(1)
-    theta, ll, iterations, gnorm = newton_batch(
-        _z_matrix(ds, mu_hat, cfg)[None], ds.r[None].astype(float), errs
-    )
+    errs, workspace = ReplicateErrors(1), Workspace()
+    z = z_stack(select_x1(ds.x, cfg.x1_columns)[None], mu_hat[None], workspace)
+    theta, ll, iterations, gnorm = newton_batch(z, ds.r[None].astype(float), errs, workspace)
     errs.raise_first()
     return PropensityFit(
         theta_hat=theta[0],

@@ -211,7 +211,7 @@ def section2_design() -> Scenario:
 SCENARIOS = {
     "example1": example1,
     "example2": example2,
-    "section2": lambda **kw: section2_design(),
+    "section2": section2_design,
 }
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from mnarmean._workspace import Workspace
 from mnarmean.bootstrap import (
     _child_rngs,
     bootstrap_percentile_ci,
@@ -246,7 +247,7 @@ def test_failed_resamples_raise_no_warning(separating_data):
         warnings.simplefilter("error", RuntimeWarning)
         res = bootstrap_t_ci(ds, cfg, B=199, seed=35)
         pct = bootstrap_percentile_ci("proposed", ds, cfg, B=199, seed=35)
-        fits = fit_replicates(ds, cfg, idx)
+        fits = fit_replicates(ds, cfg, idx, workspace=Workspace())
     assert res.failure_counts["SEPARATION"] > 0
     assert pct.failure_counts["SEPARATION"] > 0
     assert [exc and exc.code for exc in fits.errors.errors] == ["DEGENERATE", "DEGENERATE", None]
@@ -293,7 +294,7 @@ def test_kernel_errors_match_single_fits():
         ds = Dataset(r=ds.r, y=ds.y, x=x)
         idx = np.stack([rng.integers(0, ds.n, size=ds.n) for rng in _child_rngs(seed, 60)])
         idx = idx[[0 < ds.r[rows].sum() < ds.n for rows in idx]]
-        fits = fit_replicates(ds, cfg, idx)
+        fits = fit_replicates(ds, cfg, idx, workspace=Workspace())
         for j, rows in enumerate(idx):
             try:
                 tau, prop, var = fit_with_variance(ds.take(rows), cfg)
@@ -404,7 +405,7 @@ def test_workspace_reuse_is_invisible(monkeypatch, separating_data, kind):
     cases.append((small, small_cfg, 199, 35))
     real_fit, aliased = bs.fit_replicates, []
 
-    def checked_fit(*args, workspace=None, **kwargs):
+    def checked_fit(*args, workspace, **kwargs):
         fits = real_fit(*args, workspace=workspace, **kwargs)
         returned = [fits.tau, fits.sigma2_tau, fits.converged]
         aliased.extend(
@@ -424,7 +425,9 @@ def test_workspace_reuse_is_invisible(monkeypatch, separating_data, kind):
         return out
 
     shared = run_all(checked_fit)
-    own = run_all(lambda *args, workspace=None, **kwargs: real_fit(*args, **kwargs))
+    own = run_all(
+        lambda *args, workspace, **kwargs: real_fit(*args, workspace=Workspace(), **kwargs)
+    )
     assert aliased and not any(aliased)
     assert shared[-1][2].get("DEGENERATE") == 1 and shared[-1][2].get("SEPARATION", 0) > 0
     for (values, ci, failures), (ref_values, ref_ci, ref_failures) in zip(shared, own):
@@ -467,5 +470,7 @@ def test_workspace_does_not_raise_the_peak_memory(monkeypatch):
     bootstrap_t_ci(ds, cfg, B=99, seed=5)
     tracemalloc.stop()
     shared = peak(real_fit)
-    own = peak(lambda *args, workspace=None, **kwargs: real_fit(*args, **kwargs))
+    own = peak(
+        lambda *args, workspace, **kwargs: real_fit(*args, workspace=Workspace(), **kwargs)
+    )
     assert shared <= own + PEAK_SLACK, (shared, own)

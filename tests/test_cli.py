@@ -208,6 +208,32 @@ def test_simulate_reps_zero_usage_error(capsys):
     assert json.loads(capsys.readouterr().out)["error"] == "USAGE"
 
 
+def test_simulate_unknown_scenario_usage_error(capsys):
+    rc = main(["simulate", "--scenario", "nope", "--n", "100", "--reps", "2"])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "USAGE"
+
+
+def test_simulate_keeps_the_scenario_defaults(cli_files):
+    """Without --alpha0 and --delta, example2 runs its own alpha0 = -2.7."""
+    root, _, _ = cli_files
+    sidecar = root / "example2.json"
+    assert main([
+        "simulate", "--scenario", "example2", "--n", "200", "--reps", "2",
+        "--truth-draws", "1000", "--out-csv", str(root / "example2.csv"),
+        "--truth-json", str(sidecar),
+    ]) == 0
+    assert json.loads(sidecar.read_text(encoding="utf-8"))["alpha0"] == -2.7
+
+
+@pytest.mark.parametrize("flag", [["--alpha0", "5"], ["--delta", "0.3"]], ids=["alpha0", "delta"])
+def test_simulate_section2_takes_no_scenario_flags(capsys, flag):
+    """section2 is a fixed design; a flag it would ignore is a usage error."""
+    rc = main(["simulate", "--scenario", "section2", "--n", "100", "--reps", "2", *flag])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "USAGE"
+
+
 @pytest.mark.parametrize("extra", [
     pytest.param(["--methods", "gmm0"], id="gmm0"),
     pytest.param(["--coverage", "wald", "--level", "1.5"], id="wald-level"),

@@ -368,6 +368,22 @@ def test_header_only_file_has_no_data_rows(tmp_path, text):
     assert str(exc.value) == f"{p}: no data rows"
 
 
+def test_empty_file_expects_a_header_row(tmp_path):
+    p = tmp_path / "empty.csv"
+    p.write_bytes(b"")
+    with pytest.raises(ParseError) as exc:
+        parse_dataset(p)
+    assert str(exc.value) == f"{p}: empty file, expected a header row"
+
+
+def test_header_without_the_y_column(tmp_path):
+    p = tmp_path / "no_y.csv"
+    p.write_text("x1,x2\n0.1,0.2\n", encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        parse_dataset(p)
+    assert str(exc.value) == f"{p}: column 'y' not found in header"
+
+
 @given(
     st.lists(st.floats(-3, 3), min_size=1, max_size=8),
     st.lists(st.floats(-3, 3), min_size=1, max_size=8),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mnarmean._workspace import Workspace
 from mnarmean.data import BasisTerm, Dataset, ModelConfig, build_design
 from mnarmean.errors import UsageError
 from mnarmean.fitting import fit_mean_response, fit_tau_only
@@ -28,7 +29,7 @@ def _fit_score_rows(ds, cfg, dm, mu_hat, outcome, propensity, B):
     z = _z_matrix(ds, mu_hat, cfg)
     pi = 1.0 / (1.0 + np.exp(z @ propensity.theta_hat))
     e = r * np.exp(propensity.gamma_hat * eps)
-    return _score_rows(dm.M.T, mu_hat, r, z.T, pi, eps, e, B).T
+    return _score_rows(dm.M.T, mu_hat, r, z.T, pi, eps, e, B, Workspace()).T
 
 
 def test_A2_equals_minus_hessian_over_n(fitted):

@@ -86,6 +86,29 @@ def test_profile_beta_length_must_match_x1_columns(beta):
         profile_gamma(ds, -0.5, np.array(beta), (-1.0, 1.0, 0.25), CFG2)
 
 
+#: one respondent with y = 0 and one nonrespondent, x = 0: at alpha0 = 0
+#: and beta = 0, M(gamma) = (e^0 + 1) / 2 - 1 = 0 for every gamma
+_FLAT_CFG = ModelConfig(
+    mean_basis=(BasisTerm((0,)), BasisTerm((1,)), BasisTerm((2,))), x1_columns=(1,)
+)
+
+
+def _two_rows(y_observed):
+    return Dataset(r=np.array([1, 0]), y=np.array([y_observed, np.nan]), x=np.zeros((2, 1)))
+
+
+def test_profile_flat_moment_makes_every_grid_point_a_root():
+    prof = profile_gamma(_two_rows(0.0), 0.0, np.array([0.0]), (-1.0, 1.0, 0.5), _FLAT_CFG)
+    assert (prof.values == 0.0).all()
+    assert prof.roots == (-1.0, -0.5, 0.0, 0.5, 1.0)  # the last grid point included
+
+
+def test_profile_non_finite_over_the_whole_grid_raises():
+    """e^{gamma y} overflows at y = 1000 for every gamma in [1, 2]."""
+    with pytest.raises(NonConvergenceError, match="non-finite over the entire grid"):
+        profile_gamma(_two_rows(1000.0), 0.0, np.array([0.0]), (1.0, 2.0, 0.5), _FLAT_CFG)
+
+
 def test_solve_ipw_recovers_mar_truth():
     a0, b = -0.5, 0.7
     ds = _mar_big(n=50_000, seed=32)

@@ -8,6 +8,7 @@ import kernel_reference as ref
 import numpy as np
 import pytest
 
+from mnarmean._workspace import Workspace
 from mnarmean.data import build_design
 from mnarmean.errors import ReplicateErrors
 from mnarmean.inference import sandwich_batch
@@ -25,9 +26,9 @@ def _resample_inputs(sc, n, b, seed):
     M = dm.M.reshape(b, n, -1)
     r = star.r.reshape(b, n).astype(float)
     y = star.y.reshape(b, n)
-    _, mu, eps, _ = least_squares_batch(M, r, y, ReplicateErrors(b))
-    z = z_stack(dm.X1.reshape(b, n, -1), mu)
-    theta = newton_batch(z, r, ReplicateErrors(b))[0]
+    _, mu, eps, _ = least_squares_batch(M, r, y, ReplicateErrors(b), Workspace())
+    z = z_stack(dm.X1.reshape(b, n, -1), mu, Workspace())
+    theta = newton_batch(z, r, ReplicateErrors(b), Workspace())[0]
     return M, r, y, mu, eps, z, theta
 
 
@@ -50,7 +51,7 @@ def _mixed_newton_stack(n=12, b=400, seed=1):
     r[0] = 1.0
     x[1] = 1.0
     mu[2] = 2.0 * x[2]
-    return z_stack(x[..., None], mu), r
+    return z_stack(x[..., None], mu, Workspace()), r
 
 
 def test_newton_is_bit_identical_to_the_reference(monkeypatch):
@@ -60,7 +61,7 @@ def test_newton_is_bit_identical_to_the_reference(monkeypatch):
     monkeypatch.setattr(ref, "_loglik", lambda r, *a: (calls.append(len(r)), loglik(r, *a))[1])
     want_errs, got_errs = ReplicateErrors(len(r)), ReplicateErrors(len(r))
     want = ref.newton_batch(z, r, want_errs)
-    got = newton_batch(z, r, got_errs)
+    got = newton_batch(z, r, got_errs, Workspace())
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
     assert _codes(got_errs) == _codes(want_errs)
@@ -78,7 +79,7 @@ def test_newton_is_bit_identical_to_the_reference(monkeypatch):
 def test_newton_on_resamples_is_bit_identical_to_the_reference(n, seed):
     _, r, _, _, _, z, _ = _resample_inputs(example1(alpha0=-1.7, delta=1.0), n, 60, seed)
     want_errs, got_errs = ReplicateErrors(len(r)), ReplicateErrors(len(r))
-    for g, w in zip(newton_batch(z, r, got_errs), ref.newton_batch(z, r, want_errs)):
+    for g, w in zip(newton_batch(z, r, got_errs, Workspace()), ref.newton_batch(z, r, want_errs)):
         np.testing.assert_array_equal(g, w)
     assert _codes(got_errs) == _codes(want_errs)
 
@@ -102,7 +103,7 @@ def test_least_squares_matches_the_q_forming_reference(sc):
     y[2, :2] = 1.0
     want_errs, got_errs = ReplicateErrors(len(r)), ReplicateErrors(len(r))
     want = ref.least_squares_batch(M, r, y, want_errs)
-    got = least_squares_batch(M, r, y, got_errs)
+    got = least_squares_batch(M, r, y, got_errs, Workspace())
     assert _codes(got_errs) == _codes(want_errs)
     assert {c and c[0] for c in _codes(got_errs)} == {None, "SINGULAR", "DEGENERATE"}
     for g, w in zip(got, want):
@@ -114,7 +115,7 @@ def test_sandwich_matches_the_row_major_reference(sc):
     M, r, _, mu, eps, z, theta = _resample_inputs(sc, 200, 40, 6)
     want_errs, got_errs = ReplicateErrors(len(r)), ReplicateErrors(len(r))
     want = ref.sandwich_batch(M, r, eps, mu, z, theta, want_errs)
-    got = sandwich_batch(M, r, eps, mu, z, theta, got_errs)
+    got = sandwich_batch(M, r, eps, mu, z, theta, got_errs, Workspace())
     assert _codes(got_errs) == _codes(want_errs)
     ok = got_errs.ok & np.isfinite(want.V).all(axis=(1, 2))
     assert ok.sum() > 30
@@ -144,6 +145,6 @@ def test_kernel_peak_memory_is_within_the_reference(kernel):
         "newton": (newton_batch, ref.newton_batch, (z, r)),
         "sandwich": (sandwich_batch, ref.sandwich_batch, (M, r, eps, mu, z, theta)),
     }[kernel]
-    got = _traced_peak(new, *args, ReplicateErrors(50))
+    got = _traced_peak(new, *args, ReplicateErrors(50), Workspace())
     want = _traced_peak(old, *args, ReplicateErrors(50))
     assert got <= want, (got / (50 * 500 * 8), want / (50 * 500 * 8))
