@@ -21,7 +21,7 @@ from .errors import DataIOError, MnarError, UsageError
 from .fitting import fit_mean_response
 from .inference import H1_VARIANTS
 from .ipw import profile_gamma
-from .simulate import SCENARIOS, compute_truth, run_coverage_study, run_study
+from .simulate import SCENARIOS, TRUTH_DRAWS, compute_truth, run_coverage_study, run_study
 
 DEFAULT_SEED = 20220513
 SCHEMA_VERSION = 1
@@ -140,6 +140,7 @@ def cmd_simulate(args) -> int:
         "scenario": args.scenario,
         "alpha0": sc.alpha0,
         "gamma": sc.gamma,
+        "error_law": [list(c) for c in sc.error_law.components],
         "n": args.n,
         "reps": args.reps,
         "seed": args.seed,
@@ -228,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--level", type=float, default=0.95)
     p_sim.add_argument("--coverage", choices=["wald", "bootstrap_t"], default=None)
     p_sim.add_argument("--bootstrap", type=int, default=1000, metavar="B")
-    p_sim.add_argument("--truth-draws", type=int, default=2_000_000)
+    p_sim.add_argument("--truth-draws", type=int, default=TRUTH_DRAWS)
     p_sim.add_argument("--out-csv", default=None)
     p_sim.add_argument("--truth-json", default=None)
     p_sim.set_defaults(func=cmd_simulate)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, compress
 
 import numpy as np
@@ -24,15 +24,12 @@ SPAN_TOL = 1e-8
 class Dataset:
     """n i.i.d. records of (missingness indicator r, outcome y, covariates x).
 
-    ``y`` is NaN exactly where ``r == 0``.  ``y_full`` optionally retains the
-    pre-masking outcomes of simulated data for oracle checks; it is never used
-    by any estimator.
+    ``y`` is NaN exactly where ``r == 0``.
     """
 
     r: np.ndarray
     y: np.ndarray
     x: np.ndarray
-    y_full: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         r = np.asarray(self.r, dtype=np.int64)
@@ -77,8 +74,7 @@ class Dataset:
 
     def take(self, idx: np.ndarray) -> "Dataset":
         """Row subset / resample (used by the pairs bootstrap)."""
-        yf = None if self.y_full is None else self.y_full[idx]
-        return Dataset(self.r[idx], self.y[idx], self.x[idx], y_full=yf)
+        return Dataset(self.r[idx], self.y[idx], self.x[idx])
 
 
 @dataclass(frozen=True)
@@ -303,15 +299,10 @@ def _to_floats(cells: list[str], plain: bool):
         raise
 
 
-def parse_dataset(
-    path,
-    y_col: str = "y",
-    x_cols: list[str] | None = None,
-    r_col: str | None = None,
-) -> Dataset:
+def parse_dataset(path, y_col: str = "y", r_col: str | None = None) -> Dataset:
     """Read a UTF-8 CSV with a header row.  Missing y is an empty field; an
     explicit 0/1 r column is optional (r is derived from y presence when
-    absent).  x_cols defaults to every column other than y and r.  Quoting
+    absent).  The covariates are every column other than y and r.  Quoting
     follows ``csv.reader``.  A numeric cell holds an ASCII decimal or
     scientific number, padded with whitespace or not.  A row whose cell
     count differs from the header's, any other numeric cell and a
@@ -335,8 +326,7 @@ def parse_dataset(
 
     yi = col_index(y_col)
     ri = col_index(r_col) if r_col is not None else None
-    if x_cols is None:
-        x_cols = [c for c in header if c != y_col and c != r_col]
+    x_cols = [c for c in header if c != y_col and c != r_col]
     xi = [col_index(c) for c in x_cols]
 
     n, k = len(counts), len(header)
@@ -403,12 +393,9 @@ def parse_dataset(
     return Dataset(r=r, y=y, x=x)
 
 
-def write_dataset(
-    ds: Dataset, path, y_col: str = "y", x_cols: list[str] | None = None
-) -> None:
-    """Write a dataset as CSV (missing y rendered as an empty field)."""
-    if x_cols is None:
-        x_cols = [f"x{j + 1}" for j in range(ds.d)]
+def write_dataset(ds: Dataset, path) -> None:
+    """Write a dataset as CSV with the header y, x1, ..., xd (missing y
+    rendered as an empty field)."""
     try:
         fh = open(path, "w", newline="", encoding="utf-8")
     except OSError as exc:
@@ -416,12 +403,10 @@ def write_dataset(
     # as csv.writer does, a row whose one cell is empty is written as "",
     # since a blank line is a row with no cells
     missing = '""' if ds.d == 0 else ""
-    rows = [
+    rows = [",".join(["y"] + [f"x{j + 1}" for j in range(ds.d)])] + [
         ",".join([missing if ri == 0 else repr(yi)] + list(map(repr, xi)))
         for ri, yi, xi in zip(ds.r.tolist(), ds.y.tolist(), ds.x.tolist())
     ]
     with fh:
-        # csv.writer quotes a column name that needs it; the rows hold only
-        # repr'd floats and keep its CRLF line end
-        csv.writer(fh).writerow([y_col] + list(x_cols))
+        # csv.writer's CRLF line end; no cell needs quoting
         fh.write("\r\n".join(rows) + "\r\n")

@@ -77,7 +77,9 @@ class _MomentWorkspace:
         return np.exp(np.matmul(theta, self.VT, out=out), out=out)
 
     def moments(self, theta: np.ndarray) -> np.ndarray:
-        """m(theta) for one theta (p,) or a stack of them (k, p)."""
+        """m(theta) = n^-1 sum {r e^{a0 + x1'b + g y} + r - 1} g_j(x) for one
+        theta (p,) or a stack of them (k, p); raw exponentials, so
+        non-finite entries are legal outputs (the instability is the point)."""
         with np.errstate(over="ignore", invalid="ignore"):
             return (self._weights(theta) @ self.G_obs - self.miss_sum) / self.n
 
@@ -99,15 +101,6 @@ class _MomentWorkspace:
         with np.errstate(over="ignore", invalid="ignore"):
             U[self.obs] = self.G_obs * self._weights(theta)[:, None]
         return U
-
-
-def ipw_moments(
-    ds: Dataset, theta: np.ndarray, basis_g: list[BasisTerm], cfg: ModelConfig
-) -> np.ndarray:
-    """n^-1 sum {r e^{a0 + x1'b + g y} + r - 1} g_j(x); raw exponentials, so
-    non-finite entries are legal outputs (the instability is the point)."""
-    theta = np.asarray(theta, dtype=float)
-    return _MomentWorkspace(ds, basis_g, cfg).moments(theta)
 
 
 def profile_gamma(

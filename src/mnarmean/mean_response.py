@@ -67,6 +67,8 @@ def mgf_batch(res: np.ndarray, t: np.ndarray, errs: ReplicateErrors, obs: np.nda
 
 
 def _mgf(residuals: np.ndarray, t: float):
+    """[M1_hat(t), M2_hat(t), M2_hat(t) / M1_hat(t)] of one residual vector:
+    mgf_batch with b = 1."""
     residuals = np.asarray(residuals, dtype=float)
     if residuals.size == 0:
         raise DegenerateDataError("the empirical MGF requires at least one residual")
@@ -82,12 +84,6 @@ def empirical_mgf(residuals: np.ndarray, t: float) -> tuple[float, float]:
     by factoring out max(t*eps) so the intermediate sums cannot overflow."""
     m1, m2, _ = _mgf(residuals, t)
     return m1, m2
-
-
-def mgf_ratio(residuals: np.ndarray, t: float) -> float:
-    """M2_hat(t) / M1_hat(t) without forming either factor (bounded even when
-    the MGF itself would overflow a float)."""
-    return _mgf(residuals, t)[2]
 
 
 @np.errstate(all="ignore")

@@ -23,6 +23,8 @@ from .propensity import _pr_observed
 
 NCR_TAU_RANGE = (-10.0, 10.0)
 NCR_GAMMA_RANGE = (-3.0, 3.0)
+#: Monte Carlo draws behind a study's tau0 when none is given
+TRUTH_DRAWS = 2_000_000
 
 
 class GaussianMixture:
@@ -107,7 +109,6 @@ class Scenario:
     beta: tuple[float, ...]
     gamma: float
     error_law: ErrorLaw
-    name: str = field(default="", compare=False)
 
     def __post_init__(self):
         if len(self.mean_basis) != len(self.xi_true):
@@ -175,7 +176,6 @@ def example1(alpha0: float = -1.7, delta: float = 0.0) -> Scenario:
         beta=(-0.4,),
         gamma=0.5,
         error_law=ErrorLaw.delta_mixture(delta),
-        name="example1",
     )
 
 
@@ -189,7 +189,6 @@ def example2(alpha0: float = -2.7, delta: float = 0.0) -> Scenario:
         beta=(-0.4,),
         gamma=0.5,
         error_law=ErrorLaw.delta_mixture(delta),
-        name="example2",
     )
 
 
@@ -204,7 +203,6 @@ def section2_design() -> Scenario:
         beta=(-1.0,),
         gamma=3.0,
         error_law=ErrorLaw([(1.0, 0.0, 1.0)]),
-        name="section2",
     )
 
 
@@ -255,7 +253,8 @@ def _draw_covariates(sc: Scenario, rng: np.random.Generator, n: int) -> np.ndarr
     return np.column_stack(cols)
 
 
-def generate_dataset(sc: Scenario, n: int, seed, debug_retain: bool = False) -> Dataset:
+def _complete_data(sc: Scenario, n: int, seed):
+    """(r, y, x) with y drawn for every row, the missing ones included."""
     if n < 1:
         raise UsageError("n must be >= 1")
     rng = _rng(seed)
@@ -267,11 +266,12 @@ def generate_dataset(sc: Scenario, n: int, seed, debug_retain: bool = False) -> 
     obs = r == 1
     eps[obs] = sc.error_law.sample(rng, int(obs.sum()))
     eps[~obs] = tilted.sample(rng, int(n - obs.sum()))
-    y_full = sc.mu_truth(x) + eps
-    y = np.where(obs, y_full, np.nan)
-    return Dataset(
-        r=r, y=y, x=x, y_full=y_full if debug_retain else None
-    )
+    return r, sc.mu_truth(x) + eps, x
+
+
+def generate_dataset(sc: Scenario, n: int, seed) -> Dataset:
+    r, y, x = _complete_data(sc, n, seed)
+    return Dataset(r=r, y=np.where(r == 1, y, np.nan), x=x)
 
 
 @dataclass(frozen=True)
@@ -279,7 +279,10 @@ class StudyRow:
     """One method's study result.  ``ncr_reasons`` counts the NCR cases by
     reason: the error code of a fit that raised, else ``NONCONVERGED``,
     ``TAU_RANGE`` (tau_hat non-finite or out of range) or ``GAMMA_RANGE``,
-    the first that applies; its counts sum to ``ncr``."""
+    the first that applies; its counts sum to ``ncr``.  ``NONCONVERGED`` is
+    a fit that returned ``converged=False``; ``NONCONVERGENCE`` is the code
+    of a NonConvergenceError that a fit raised, as ``solve_ipw`` does when
+    no start gives finite moments with a usable Jacobian."""
 
     method: str
     rb_percent: float
@@ -334,16 +337,17 @@ def _parallel_map(fn, items, threads: int):
         return list(pool.map(fn, items, chunksize=8))
 
 
-def _replicate(fn, args, sc, n, reps, seed, tau0, truth_draws, threads):
+def _replicate(fn, args, sc, n, reps, seed, tau0, threads):
     """The replication driver of both studies: maps ``fn`` over
     (sc, n, tau0, child seed, *args), one child of SeedSequence(seed) per
-    replication, with tau0 from ``compute_truth`` when it is None.  Returns
-    tau0 and the results; a replication returns the code of an MnarError,
-    so any other error, a UsageError among them, ends the study."""
+    replication, with tau0 from ``compute_truth`` over TRUTH_DRAWS draws
+    when it is None.  Returns tau0 and the results; a replication returns
+    the code of an MnarError, so any other error, a UsageError among them,
+    ends the study."""
     if reps < 1:
         raise UsageError("reps must be >= 1")
     if tau0 is None:
-        tau0 = compute_truth(sc, truth_draws, seed=np.random.SeedSequence((int(seed), 1)))["tau0"]
+        tau0 = compute_truth(sc, TRUTH_DRAWS, seed=np.random.SeedSequence((int(seed), 1)))["tau0"]
     children = np.random.SeedSequence(int(seed)).spawn(reps)
     return tau0, _parallel_map(fn, [(sc, n, tau0, s, *args) for s in children], threads)
 
@@ -355,7 +359,6 @@ def run_study(
     methods: list[str],
     seed=0,
     tau0: float | None = None,
-    truth_draws: int = 2_000_000,
     threads: int = 1,
 ) -> list[StudyRow]:
     """RB/MSE/NCR study.  RB and MSE are computed over non-NCR cases only;
@@ -367,7 +370,7 @@ def run_study(
         if method != "oracle":
             check_estimator_tag(method)
     tau0, results = _replicate(
-        _study_rep, (tuple(methods),), sc, n, reps, seed, tau0, truth_draws, threads
+        _study_rep, (tuple(methods),), sc, n, reps, seed, tau0, threads
     )
     rows = []
     for method in methods:
@@ -417,7 +420,6 @@ def run_coverage_study(
     seed=0,
     boot_b: int = 1000,
     tau0: float | None = None,
-    truth_draws: int = 2_000_000,
     variant: str = "printed",
     threads: int = 1,
 ) -> dict:
@@ -430,8 +432,7 @@ def run_coverage_study(
         raise UsageError(f"unknown CI method {ci_method!r}")
     check_variant(variant)
     tau0, results = _replicate(
-        _coverage_rep, (ci_method, level, boot_b, variant), sc, n, reps, seed, tau0,
-        truth_draws, threads,
+        _coverage_rep, (ci_method, level, boot_b, variant), sc, n, reps, seed, tau0, threads
     )
     covered = 0
     widths = []

@@ -21,20 +21,26 @@ def mixture_cdf(mix):
     return cdf
 
 
+def mar_complete_data(n: int, seed: int, a0: float = -0.5, b: float = 0.7):
+    """(r, y, x) of ``mar_dataset`` with y drawn for every row, the missing
+    ones included."""
+    rng = np.random.default_rng(seed)
+    x1 = rng.normal(0.0, 1.0, n)
+    x2 = rng.normal(0.0, 1.0, n)
+    pi = expit(-(a0 + b * x1))
+    r = (rng.random(n) < pi).astype(np.int64)
+    y = 1.0 + 0.5 * x1 - 0.8 * x2 + x2**2 + rng.normal(0.0, 1.0, n)
+    return r, y, np.column_stack([x1, x2])
+
+
 def mar_dataset(n: int, seed: int, a0: float = -0.5, b: float = 0.7) -> Dataset:
     """Missingness depends on x only (gamma = 0): pr(R=1|x) = expit(-(a0 + b x1)).
 
     y given x is linear with standard normal noise, so any estimator that
     assumes outcome-dependent missingness should find gamma near 0.
     """
-    rng = np.random.default_rng(seed)
-    x1 = rng.normal(0.0, 1.0, n)
-    x2 = rng.normal(0.0, 1.0, n)
-    pi = expit(-(a0 + b * x1))
-    r = (rng.random(n) < pi).astype(np.int64)
-    y_full = 1.0 + 0.5 * x1 - 0.8 * x2 + x2**2 + rng.normal(0.0, 1.0, n)
-    y = np.where(r == 1, y_full, np.nan)
-    return Dataset(r=r, y=y, x=np.column_stack([x1, x2]), y_full=y_full)
+    r, y, x = mar_complete_data(n, seed, a0, b)
+    return Dataset(r=r, y=np.where(r == 1, y, np.nan), x=x)
 
 
 @pytest.fixture
@@ -52,5 +58,5 @@ def example1_fit_inputs():
     from mnarmean.simulate import example1, generate_dataset
 
     sc = example1(alpha0=-1.7, delta=0.0)
-    ds = generate_dataset(sc, 2000, seed=314, debug_retain=True)
+    ds = generate_dataset(sc, 2000, seed=314)
     return sc, ds, sc.model_config()

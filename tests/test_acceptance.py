@@ -27,6 +27,7 @@ from mnarmean.ipw import profile_gamma
 from mnarmean.mean_response import empirical_mgf
 from mnarmean.propensity import score_and_hessian_z
 from mnarmean.simulate import (
+    _complete_data,
     compute_truth,
     example1,
     example2,
@@ -277,11 +278,11 @@ def test_criterion_08_property_suite(tmp_path):
         assert m2_s == pytest.approx(naive2, rel=1e-12)
 
     # generator invariants at n = 10^6: missing rate, KS on both error laws
-    big = generate_dataset(sc, 1_000_000, seed=909, debug_retain=True)
+    r, y_full, x = _complete_data(sc, 1_000_000, seed=909)
     eta0 = compute_truth(sc, 2_000_000, seed=3)["eta0"]
-    assert np.mean(big.r) == pytest.approx(eta0, abs=0.003)
-    eps_full = big.y_full - sc.mu_truth(big.x)
-    obs = big.r == 1
+    assert np.mean(r) == pytest.approx(eta0, abs=0.003)
+    eps_full = y_full - sc.mu_truth(x)
+    obs = r == 1
     tilted, _ = tilt_error_law(sc.error_law, sc.gamma)
     assert stats.kstest(eps_full[obs], mixture_cdf(sc.error_law)).statistic < 0.01
     assert stats.kstest(eps_full[~obs], mixture_cdf(tilted)).statistic < 0.01

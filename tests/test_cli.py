@@ -5,7 +5,14 @@ import pytest
 
 from mnarmean.cli import main
 from mnarmean.data import write_dataset
-from mnarmean.simulate import example1, generate_dataset
+from mnarmean.simulate import (
+    TRUTH_DRAWS,
+    ErrorLaw,
+    compute_truth,
+    example1,
+    generate_dataset,
+    run_coverage_study,
+)
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +239,43 @@ def test_simulate_section2_takes_no_scenario_flags(capsys, flag):
     rc = main(["simulate", "--scenario", "section2", "--n", "100", "--reps", "2", *flag])
     assert rc == 2
     assert json.loads(capsys.readouterr().out)["error"] == "USAGE"
+
+
+@pytest.mark.parametrize(
+    "scenario, flags, law",
+    [
+        pytest.param("example1", ["--delta", "1"], ErrorLaw.delta_mixture(1.0).components,
+                     id="example1-delta1"),
+        pytest.param("example1", [], ErrorLaw.delta_mixture(0.0).components, id="example1"),
+        pytest.param("section2", [], [(1.0, 0.0, 1.0)], id="section2"),
+    ],
+)
+def test_simulate_sidecar_records_the_error_law(cli_files, scenario, flags, law):
+    """The sidecar lists the error law's components as [weight, mean, variance]."""
+    root, _, _ = cli_files
+    sidecar = root / "error_law.json"
+    assert main([
+        "simulate", "--scenario", scenario, "--n", "100", "--reps", "1", *flags,
+        "--truth-draws", "1000", "--out-csv", str(root / "error_law.csv"),
+        "--truth-json", str(sidecar),
+    ]) == 0
+    assert json.loads(sidecar.read_text(encoding="utf-8"))["error_law"] == [list(c) for c in law]
+
+
+def test_one_truth_default(cli_files):
+    """A study without tau0, compute_truth over TRUTH_DRAWS draws and the
+    CLI's default --truth-draws give one tau0 for one seed."""
+    root, _, _ = cli_files
+    seed = 4
+    study = run_coverage_study(example1(), 50, 1, seed=seed)["tau0"]
+    direct = compute_truth(example1(), TRUTH_DRAWS, seed=np.random.SeedSequence((seed, 1)))["tau0"]
+    sidecar = root / "truth_default.json"
+    assert main([
+        "simulate", "--scenario", "example1", "--n", "50", "--reps", "1", "--seed", str(seed),
+        "--out-csv", str(root / "truth_default.csv"), "--truth-json", str(sidecar),
+    ]) == 0
+    cli = json.loads(sidecar.read_text(encoding="utf-8"))["tau0"]
+    assert study == direct == cli
 
 
 @pytest.mark.parametrize("extra", [

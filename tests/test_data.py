@@ -144,7 +144,7 @@ def _ref_number(cell):
     return float(text)
 
 
-def _reference_parse(path, y_col="y", x_cols=None, r_col=None):
+def _reference_parse(path, y_col="y", r_col=None):
     """The reference reader: csv.reader and one pass over the rows, checking
     and converting cell by cell; the first row with a defect is reported."""
     with open(path, newline="", encoding="utf-8") as fh:
@@ -163,8 +163,7 @@ def _reference_parse(path, y_col="y", x_cols=None, r_col=None):
 
     yi = col_index(y_col)
     ri = col_index(r_col) if r_col is not None else None
-    if x_cols is None:
-        x_cols = [c for c in header if c != y_col and c != r_col]
+    x_cols = [c for c in header if c != y_col and c != r_col]
     xi = [col_index(c) for c in x_cols]
     n = len(rows)
     if n == 0:
@@ -291,8 +290,6 @@ def csv_files(draw):
     kwargs = {}
     if with_r and draw(st.booleans()):
         kwargs["r_col"] = "r"
-    if draw(st.booleans()):
-        kwargs["x_cols"] = draw(st.lists(st.sampled_from(x_names), min_size=1, unique=True))
     return text, kwargs
 
 

@@ -8,8 +8,8 @@ from mnarmean.fitting import _ipw_basis
 from mnarmean.ipw import (
     GAMMA_LATTICE,
     MOMENT_TOL,
+    _MomentWorkspace,
     default_ipw_start,
-    ipw_moments,
     monomial_basis,
     profile_gamma,
     solve_gmm,
@@ -17,7 +17,7 @@ from mnarmean.ipw import (
 )
 from mnarmean.simulate import example1, example2, generate_dataset
 
-from conftest import mar_dataset
+from conftest import mar_complete_data, mar_dataset
 
 CFG2 = ModelConfig(
     mean_basis=(BasisTerm((0, 0)), BasisTerm((1, 0)), BasisTerm((0, 1)), BasisTerm((0, 2))),
@@ -34,7 +34,7 @@ def test_moment_zero_at_truth_under_mar():
     converges to 0."""
     a0, b = -0.5, 0.7
     ds = _mar_big(a0=a0, b=b)
-    m = ipw_moments(ds, np.array([a0, b, 0.0]), [BasisTerm((0, 0))], CFG2)
+    m = _MomentWorkspace(ds, [BasisTerm((0, 0))], CFG2).moments(np.array([a0, b, 0.0]))
     assert abs(m[0]) < 0.02  # ~3 Monte Carlo standard errors
 
 
@@ -43,13 +43,13 @@ def test_moment_all_observed_strictly_positive():
     n = 100
     x = rng.normal(size=(n, 2))
     ds = Dataset(r=np.ones(n, dtype=np.int64), y=rng.normal(size=n), x=x)
-    m = ipw_moments(ds, np.array([0.1, -0.2, 0.3]), [BasisTerm((0, 0))], CFG2)
+    m = _MomentWorkspace(ds, [BasisTerm((0, 0))], CFG2).moments(np.array([0.1, -0.2, 0.3]))
     assert m[0] > 0.0
 
 
 def test_moments_tolerate_overflow():
     ds = _mar_big(n=500)
-    m = ipw_moments(ds, np.array([0.0, 0.0, 700.0]), [BasisTerm((0, 0))], CFG2)
+    m = _MomentWorkspace(ds, [BasisTerm((0, 0))], CFG2).moments(np.array([0.0, 0.0, 700.0]))
     assert m[0] == np.inf  # raw exponentials: non-finite values are legal
 
 
@@ -112,12 +112,13 @@ def test_profile_non_finite_over_the_whole_grid_raises():
 def test_solve_ipw_recovers_mar_truth():
     a0, b = -0.5, 0.7
     ds = _mar_big(n=50_000, seed=32)
+    _, y_full, _ = mar_complete_data(50_000, 32)
     fit = solve_ipw(ds, CFG2, monomial_basis(2, 1))
     assert fit.converged
     assert fit.moment_norm < MOMENT_TOL
     assert np.allclose(fit.theta_hat, [a0, b, 0.0], atol=0.15)
     # Horvitz-Thompson mean of y close to the true mean of y
-    assert fit.tau_ipw == pytest.approx(np.nanmean(ds.y_full), abs=0.1)
+    assert fit.tau_ipw == pytest.approx(np.nanmean(y_full), abs=0.1)
 
 
 def test_solve_ipw_basis_count_validation():
@@ -186,7 +187,7 @@ def test_ipw_candidates_are_every_start():
     fit = solve_ipw(ds, CFG2, monomial_basis(2, 1))
     assert len(fit.candidates) == 5
     for theta, norm, conv in fit.candidates:
-        m = ipw_moments(ds, theta, monomial_basis(2, 1), CFG2)
+        m = _MomentWorkspace(ds, monomial_basis(2, 1), CFG2).moments(theta)
         assert norm == np.max(np.abs(m))
         assert conv == (norm < MOMENT_TOL)
     assert fit.moment_norm == min(c[1] for c in fit.candidates)
@@ -196,24 +197,23 @@ def test_profile_is_intercept_moment():
     """M(gamma) on the grid is the intercept-only IPW moment at (a0, b, gamma)."""
     ds = _mar_big(n=2000)
     prof = profile_gamma(ds, -0.5, np.array([0.7]), (-1.0, 1.0, 0.25), CFG2)
+    ws = _MomentWorkspace(ds, [BasisTerm((0, 0))], CFG2)
     for g, v in zip(prof.grid, prof.values):
-        m = ipw_moments(ds, np.array([-0.5, 0.7, g]), [BasisTerm((0, 0))], CFG2)
+        m = ws.moments(np.array([-0.5, 0.7, g]))
         assert v == m[0]
     direct = (np.sum(np.exp(-0.5 + 0.7 * ds.x[ds.r == 1, 0] + 0.5 * ds.y[ds.r == 1]) + 1)) / ds.n - 1
     assert prof.values[6] == pytest.approx(direct, rel=1e-12)
     # a stack of 40 thetas: no stack size is special
     thetas = np.column_stack([np.full(40, -0.5), np.full(40, 0.7), np.linspace(-1.0, 1.0, 40)])
-    stacked = ipw_moments(ds, thetas, [BasisTerm((0, 0))], CFG2)
+    stacked = ws.moments(thetas)
     assert stacked.shape == (40, 1)
     for theta, m in zip(thetas, stacked):
-        assert m == pytest.approx(ipw_moments(ds, theta, [BasisTerm((0, 0))], CFG2), rel=1e-12)
+        assert m == pytest.approx(ws.moments(theta), rel=1e-12)
 
 
 def test_moments_and_jacobians_take_any_stack():
     """A stack of 12 thetas, more than len(GAMMA_LATTICE), gives row by row
     the moments and Jacobians of single-theta calls."""
-    from mnarmean.ipw import _MomentWorkspace
-
     ds = _mar_big(n=2000, seed=37)
     ws = _MomentWorkspace(ds, monomial_basis(2, 2), CFG2)
     thetas = np.column_stack(

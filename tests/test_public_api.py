@@ -34,7 +34,7 @@ PUBLIC_FIELDS = {
         "ci", "n_resamples_requested", "n_successful", "t_stats", "seed", "failure_counts",
     ),
     "ConfidenceInterval": ("lower", "upper", "level", "method"),
-    "Dataset": ("r", "y", "x", "y_full"),
+    "Dataset": ("r", "y", "x"),
     "DesignMatrices": ("M", "X1"),
     "FitResult": (
         "outcome", "propensity", "tau", "variance", "wald", "identifiability", "design",
@@ -48,7 +48,7 @@ PUBLIC_FIELDS = {
     "SandwichPieces": ("A1", "A2", "A3", "A4", "B", "C1", "C2", "V"),
     "Scenario": (
         "covariate_law", "mean_basis", "xi_true", "x1_columns", "alpha0", "beta", "gamma",
-        "error_law", "name",
+        "error_law",
     ),
     "StudyRow": ("method", "rb_percent", "mse_x100", "ncr", "n_reps", "ncr_reasons"),
     "TauEstimate": ("tau_hat", "eta_hat", "m1_hat", "m2_hat", "alpha0_hat"),

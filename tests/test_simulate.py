@@ -7,6 +7,7 @@ from mnarmean.simulate import (
     ErrorLaw,
     GaussianMixture,
     StudyRow,
+    _complete_data,
     compute_truth,
     example1,
     example2,
@@ -108,18 +109,18 @@ def test_generator_self_consistency_large_n():
     selection model all match the generative truth at n = 10^6."""
     sc = example1(alpha0=-1.7, delta=0.0)
     n = 1_000_000
-    ds = generate_dataset(sc, n, seed=88, debug_retain=True)
+    r, y, x = _complete_data(sc, n, seed=88)
     truth = compute_truth(sc, 2_000_000, seed=4)
-    assert 1.0 - ds.n_observed / n == pytest.approx(truth["pr_missing"], abs=0.003)
+    assert 1.0 - r.sum() / n == pytest.approx(truth["pr_missing"], abs=0.003)
 
-    obs = ds.r == 1
-    M = np.column_stack([np.ones(n), ds.x[:, 0], ds.x[:, 1]])[obs]
-    xi, *_ = np.linalg.lstsq(M, ds.y[obs], rcond=None)
+    obs = r == 1
+    M = np.column_stack([np.ones(n), x[:, 0], x[:, 1]])[obs]
+    xi, *_ = np.linalg.lstsq(M, y[obs], rcond=None)
     assert np.allclose(xi, [2.5, -1.0, 1.5], atol=0.02)
 
     # complete-case residuals follow the base law; missing-case residuals
     # follow the tilted law (KS distance < 0.01)
-    eps = ds.y_full - sc.mu_truth(ds.x)
+    eps = y - sc.mu_truth(x)
     ks_obs = ks_1samp(eps[obs], mixture_cdf(sc.error_law)).statistic
     tilted, m1 = tilt_error_law(sc.error_law, sc.gamma)
     ks_mis = ks_1samp(eps[~obs], mixture_cdf(tilted)).statistic
@@ -130,25 +131,26 @@ def test_generator_self_consistency_large_n():
 
 
 def test_selection_model_recovered_on_debug_data():
-    """Logistic regression of r on (1, x1, y_full) recovers (alpha0, beta,
-    gamma) of the outcome-dependent selection model."""
+    """Logistic regression of r on (1, x1, y), with y drawn for every row,
+    recovers (alpha0, beta, gamma) of the outcome-dependent selection model."""
     from mnarmean.data import BasisTerm, Dataset, ModelConfig
     from mnarmean.propensity import fit_propensity
 
     sc = example1(alpha0=-1.7, delta=0.0)
     n = 1_000_000
-    ds = generate_dataset(sc, n, seed=89, debug_retain=True)
-    full = Dataset(r=ds.r, y=np.where(ds.r == 1, ds.y_full, np.nan), x=ds.x)
+    r, y, x = _complete_data(sc, n, seed=89)
+    full = Dataset(r=r, y=np.where(r == 1, y, np.nan), x=x)
     cfg = ModelConfig(mean_basis=(BasisTerm((0, 0)),), x1_columns=(1,))
-    # feed y_full as the "mu_hat" channel: the linear predictor becomes
-    # alpha + beta x1 + gamma y, exactly the selection model
-    fit = fit_propensity(full, ds.y_full, cfg)
+    # feed every row's y as the "mu_hat" channel: the linear predictor
+    # becomes alpha + beta x1 + gamma y, exactly the selection model
+    fit = fit_propensity(full, y, cfg)
     assert np.allclose(fit.theta_hat, [sc.alpha0, sc.beta[0], sc.gamma], atol=0.05)
 
 
 def test_run_study_oracle_identity():
     sc = example1(alpha0=-1.7, delta=0.0)
-    rows = run_study(sc, n=200, reps=5, methods=["oracle"], seed=5, truth_draws=1_000_000)
+    tau0 = compute_truth(sc, 1_000_000, seed=np.random.SeedSequence((5, 1)))["tau0"]
+    rows = run_study(sc, n=200, reps=5, methods=["oracle"], seed=5, tau0=tau0)
     row = rows[0]
     assert isinstance(row, StudyRow)
     assert row.rb_percent == pytest.approx(0.0, abs=1e-12)
