@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 internal bug, 2 user/data error (with a
 machine-readable error JSON on stdout).  All outputs are deterministic
-given flags + seed."""
+given flags, seed and the number of BLAS threads."""
 
 from __future__ import annotations
 

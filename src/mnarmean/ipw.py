@@ -21,8 +21,9 @@ from .errors import NonConvergenceError, UsageError, linalg_each
 MOMENT_TOL = 1e-8
 BISECT_TOL = 1e-10
 GAMMA_LATTICE = (-2.0, -1.0, 0.0, 1.0, 2.0)
-#: the line-search steps tried after a rejected full step: 1/2, ..., 2^-29
-HALVINGS = 0.5 ** np.arange(1, 30)
+#: the line-search steps after a rejected full step, 1/2, ..., 2^-29, in the
+#: two tiers that ``_gauss_newton`` tries in turn: 2^-1 to 2^-8, then the rest
+HALVING_TIERS = np.split(0.5 ** np.arange(1, 30), [8])
 GN_MAX_ITER = 200
 
 
@@ -51,24 +52,31 @@ class IpwFit:
 class _MomentWorkspace:
     """Precomputed observed-row pieces: the r=0 rows contribute the constant
     -sum_miss g_j(x), so only observed-row exponentials vary with theta.
-    ``VT`` holds the observed rows' v = (1, x1, y) as columns.
+    ``VT`` holds the observed rows' v = (1, x1, y) as columns, and ``VG``
+    their products v_ij g_l(x_i) as one (n_obs, p L) array, column j L + l;
+    since v_i0 = 1, its first L columns are ``G_obs``.  So the moment sums
+    and the Jacobian sums at weights E are E @ G_obs and E @ VG.
 
-    The exponentials and their v-products are written into the buffers of
-    one ``Workspace``, which keeps glibc from trimming and regrowing the top
-    of the heap on every iteration.  Callers use a returned weight array
-    before the next call."""
+    The exponentials are written into the buffers of one ``Workspace``,
+    which keeps glibc from trimming and regrowing the top of the heap on
+    every iteration.  Callers use a returned weight array before the next
+    call."""
 
     def __init__(self, ds: Dataset, basis_g: list[BasisTerm], cfg: ModelConfig):
         G = np.column_stack([t.evaluate(ds.x) for t in basis_g])
         obs = ds.r == 1
         self.n = ds.n
         self.obs = obs
-        self.G_obs = G[obs]
         self.G_miss = G[~obs]
         self.miss_sum = self.G_miss.sum(axis=0)
         self.VT = np.vstack(
             [np.ones(int(obs.sum())), select_x1(ds.x, cfg.x1_columns)[obs].T, ds.y[obs]]
         )
+        GT = np.ascontiguousarray(G[obs].T)
+        # VG is the transpose of a row-major (p L, n_obs) array: built so, it
+        # takes a quarter of the time, and E @ VG runs along rows of both
+        self.VG = (self.VT[:, None, :] * GT).reshape(-1, GT.shape[1]).T
+        self.G_obs = self.VG[:, : len(GT)]
         self.workspace = Workspace()
 
     def _weights(self, theta: np.ndarray) -> np.ndarray:
@@ -76,23 +84,27 @@ class _MomentWorkspace:
         (out,) = self.workspace.arrays("E", theta.shape[:-1] + self.VT.shape[1:])
         return np.exp(np.matmul(theta, self.VT, out=out), out=out)
 
+    def weights_and_moments(self, theta: np.ndarray):
+        """The weights E = e^{theta' v} and m(theta) for one theta (p,) or a
+        stack (k, p), from one exponential per observed row and theta.
+        Callers silence the overflow warnings, as _gauss_newton does."""
+        E = self._weights(theta)
+        return E, (E @ self.G_obs - self.miss_sum) / self.n
+
     def moments(self, theta: np.ndarray) -> np.ndarray:
         """m(theta) = n^-1 sum {r e^{a0 + x1'b + g y} + r - 1} g_j(x) for one
         theta (p,) or a stack of them (k, p); raw exponentials, so
         non-finite entries are legal outputs (the instability is the point)."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return (self._weights(theta) @ self.G_obs - self.miss_sum) / self.n
+            return self.weights_and_moments(theta)[1]
 
-    def moments_and_jacobians(self, thetas: np.ndarray):
-        """m (k, L) and the transposed Jacobians dm/dtheta (k, p, L) at
-        k thetas (k, p) from one product: v's first entry is 1, so the sums
-        sum_obs e_i v_ij g_l(x_i) at j = 0 are the moment sums.  Callers
-        silence the overflow warnings, as _gauss_newton does."""
-        k, p = thetas.shape
-        (EV,) = self.workspace.arrays("EV", (k,) + self.VT.shape)
-        np.multiply(self._weights(thetas)[:, None, :], self.VT, out=EV)
-        S = (EV.reshape(k * p, -1) @ self.G_obs).reshape(k, p, -1)
-        return (S[:, 0] - self.miss_sum) / self.n, S / self.n
+    def jacobians(self, E: np.ndarray, rows=None) -> np.ndarray:
+        """The transposed Jacobians dm/dtheta (k, p, L) at the thetas whose
+        weights are the given rows of the stack E, or all k rows of E."""
+        if rows is not None:
+            (Er,) = self.workspace.arrays("E_rows", (len(rows), E.shape[1]))
+            E = E.take(rows, 0, Er)
+        return (E @ self.VG).reshape(len(E), len(self.VT), self.G_obs.shape[1]) / self.n
 
     def per_row(self, theta: np.ndarray) -> np.ndarray:
         """Row-wise moment contributions (for the GMM moment covariance)."""
@@ -189,6 +201,28 @@ def _objective(m: np.ndarray, W: np.ndarray) -> np.ndarray:
     return (m[..., None, :] @ W @ m[..., :, None])[..., 0, 0]
 
 
+def _acceptable(m: np.ndarray, obj: np.ndarray, below: np.ndarray) -> np.ndarray:
+    """Whether line-search points with moments m (k, L) and objectives obj
+    (k,) may be taken: finite moments, and a finite objective below ``below``."""
+    return np.isfinite(m).all(axis=-1) & np.isfinite(obj) & (obj < below)
+
+
+def _first_acceptable(ws: _MomentWorkspace, W, th, delta, obj, steps):
+    """The line search of ``_gauss_newton`` over one tier of ``steps``, for
+    s starts at once: the candidates th + h delta of every start and step
+    are one stack, exponentiated once.  Returns the mask of the starts with
+    an acceptable step, and at each of them the first such step's theta,
+    moments, objective and Jacobian."""
+    s, q = len(th), len(steps)
+    cands = (th[:, None, :] + steps[:, None] * delta[:, None, :]).reshape(s * q, -1)
+    E, mc = ws.weights_and_moments(cands)
+    oc = _objective(mc, W)
+    good = _acceptable(mc, oc, np.repeat(obj, q)).reshape(s, q)
+    found = good.any(axis=1)
+    rows = np.flatnonzero(found) * q + good.argmax(axis=1)[found]
+    return found, cands[rows], mc[rows], oc[rows], ws.jacobians(E, rows)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _gauss_newton(ws: _MomentWorkspace, theta0: np.ndarray, W: np.ndarray):
     """Damped Gauss-Newton on the weighted moment objective m' W m with the
@@ -202,17 +236,23 @@ def _gauss_newton(ws: _MomentWorkspace, theta0: np.ndarray, W: np.ndarray):
       lower objective (converged if max |gradient| < 1e-6 (1 + obj));
     - GN_MAX_ITER iterations have run (not converged).
 
-    The state of the running starts is kept in compact arrays, so a start
-    that has stopped costs nothing.  Returns (theta, obj, converged, ok),
-    one entry per start."""
+    The first acceptable step in that order is taken.  The full steps of all
+    running starts are one stack; the starts that reject theirs try the
+    tiers of HALVING_TIERS in turn, each tier of all of them as one stack,
+    and a start goes on to the next tier only if no step of this one is
+    acceptable.  Each candidate is exponentiated once, and the Jacobian is
+    formed only at the steps taken, from their weights.  The state of the
+    running starts is kept in compact arrays, so a start that has stopped
+    costs nothing.  Returns (theta, obj, converged, ok), one entry per
+    start."""
     th = np.array(theta0, dtype=float)
-    m, JT = ws.moments_and_jacobians(th)
+    E, m = ws.weights_and_moments(th)
     obj = _objective(m, W)
     ok = np.isfinite(m).all(axis=-1) & np.isfinite(obj)
     theta_out, obj_out = th.copy(), np.where(ok, obj, np.inf)
     converged = np.zeros(len(th), dtype=bool)
     run = np.flatnonzero(ok)  # the running starts
-    th, m, obj, JT = th[run], m[run], obj[run], JT[run]
+    th, m, obj, JT = th[run], m[run], obj[run], ws.jacobians(E, run)
 
     def stop(done, conv, fine):
         """Write out the starts flagged in ``done`` and drop them."""
@@ -239,24 +279,26 @@ def _gauss_newton(ws: _MomentWorkspace, theta0: np.ndarray, W: np.ndarray):
         if not run.size:
             break
         cand = th + delta[..., 0]
-        mc, JTc = ws.moments_and_jacobians(cand)
+        E, mc = ws.weights_and_moments(cand)
         oc = _objective(mc, W)
-        take = np.isfinite(mc).all(axis=-1) & np.isfinite(oc) & (oc < obj)
-        th[take], m[take], obj[take], JT[take] = cand[take], mc[take], oc[take], JTc[take]
+        take = _acceptable(mc, oc, obj)
         if take.all():
+            th, m, obj, JT = cand, mc, oc, ws.jacobians(E)
             continue
-        stalled = ~take
-        for j in np.flatnonzero(stalled):
-            cands = th[j] + HALVINGS[:, None] * delta[j, :, 0]
-            mh = ws.moments(cands)
-            oh = _objective(mh, W)
-            good = np.flatnonzero(np.isfinite(mh).all(axis=-1) & np.isfinite(oh) & (oh < obj[j]))
-            if good.size:
-                i = good[0]
-                th[j], m[j], obj[j] = cands[i], mh[i], oh[i]
-                JT[j] = ws.moments_and_jacobians(cands[i : i + 1])[1][0]
-                stalled[j] = False
-        if stalled.any():
+        i = np.flatnonzero(take)
+        th[i], m[i], obj[i], JT[i] = cand[i], mc[i], oc[i], ws.jacobians(E, i)
+        stalled = np.flatnonzero(~take)
+        for steps in HALVING_TIERS:
+            found, *taken = _first_acceptable(
+                ws, W, th[stalled], delta[stalled, :, 0], obj[stalled], steps
+            )
+            i = stalled[found]
+            th[i], m[i], obj[i], JT[i] = taken
+            stalled = stalled[~found]
+            if not stalled.size:
+                break
+        if stalled.size:
+            stalled = np.isin(np.arange(run.size), stalled)
             stop(stalled, gmax[stalled] < 1e-6 * (1.0 + obj[stalled]), True)
     theta_out[run], obj_out[run] = th, obj
     return theta_out, obj_out, converged, ok

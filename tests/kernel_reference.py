@@ -1,11 +1,14 @@
-"""Reference forms of the three replicate kernels, as they were before each
-step was made to do its arithmetic once: Newton with two linear-predictor
-products per iteration and a gather of the design every iteration, least
-squares through a Q-forming QR, and the sandwich pieces from row-major score
-rows.  The tests hold the kernels in ``mnarmean`` to these."""
+"""Reference forms of the three replicate kernels and of the IPW/GMM solver,
+as they were before each step was made to do its arithmetic once: Newton
+with two linear-predictor products per iteration and a gather of the design
+every iteration, least squares through a Q-forming QR, the sandwich pieces
+from row-major score rows, and Gauss-Newton with the Jacobians of every
+full step and all 29 halvings of a start that rejects it.  The tests hold
+the kernels in ``mnarmean`` to these."""
 
 import numpy as np
 
+from mnarmean import ipw
 from mnarmean.errors import (
     DegenerateDataError,
     ReplicateErrors,
@@ -181,3 +184,76 @@ def sandwich_batch(M, r, eps, mu_hat, z, theta, errs: ReplicateErrors) -> Sandwi
     S = score_rows(M, mu_hat, r, z, pi, eps, e, B)
     V = S.swapaxes(-1, -2) @ S / n
     return SandwichPieces(A1=A1, A2=A2, A3=A3, A4=A4, B=B, C1=C1, C2=C2, V=V)
+
+
+def moments_and_jacobians(ws: ipw._MomentWorkspace, thetas):
+    """m (k, L) and the transposed Jacobians dm/dtheta (k, p, L) at k thetas
+    (k, p) from one product: v's first entry is 1, so the sums
+    sum_obs e_i v_ij g_l(x_i) at j = 0 are the moment sums."""
+    k, p = thetas.shape
+    EV = ws._weights(thetas)[:, None, :] * ws.VT
+    S = (EV.reshape(k * p, -1) @ ws.G_obs).reshape(k, p, -1)
+    return (S[:, 0] - ws.miss_sum) / ws.n, S / ws.n
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def gauss_newton(ws: ipw._MomentWorkspace, theta0, W):
+    """``ipw._gauss_newton``'s stop rules and step order, with the moments
+    and Jacobians of every full step, and the 29 halvings of each start
+    that rejects its full step evaluated together, one start at a time.
+    Reads ``ipw.GN_MAX_ITER`` when called."""
+    halvings = 0.5 ** np.arange(1, 30)
+    th = np.array(theta0, dtype=float)
+    m, JT = moments_and_jacobians(ws, th)
+    obj = ipw._objective(m, W)
+    ok = np.isfinite(m).all(axis=-1) & np.isfinite(obj)
+    theta_out, obj_out = th.copy(), np.where(ok, obj, np.inf)
+    converged = np.zeros(len(th), dtype=bool)
+    run = np.flatnonzero(ok)
+    th, m, obj, JT = th[run], m[run], obj[run], JT[run]
+
+    def stop(done, conv, fine):
+        nonlocal run, th, m, obj, JT, gmax, delta
+        i = run[done]
+        theta_out[i], obj_out[i], converged[i], ok[i] = th[done], obj[done], conv, fine
+        keep = ~done
+        run, th, m, obj, JT = run[keep], th[keep], m[keep], obj[keep], JT[keep]
+        gmax, delta = gmax[keep], delta[keep]
+
+    for _ in range(ipw.GN_MAX_ITER):
+        grad = 2.0 * (JT @ (W @ m[..., None]))
+        gmax = np.abs(grad).max(axis=(1, 2))
+        delta = -grad
+        bad = ~np.isfinite(JT).all(axis=(1, 2))
+        done = bad | (gmax < 1e-8 * (1.0 + obj))
+        if done.any():
+            stop(done, ~bad[done], ~bad[done])
+        delta, singular = linalg_each(
+            np.linalg.solve, delta.shape, 2.0 * (JT @ W @ JT.swapaxes(1, 2)), delta
+        )
+        if singular:
+            stop(np.isin(np.arange(run.size), list(singular)), False, False)
+        if not run.size:
+            break
+        cand = th + delta[..., 0]
+        mc, JTc = moments_and_jacobians(ws, cand)
+        oc = ipw._objective(mc, W)
+        take = np.isfinite(mc).all(axis=-1) & np.isfinite(oc) & (oc < obj)
+        th[take], m[take], obj[take], JT[take] = cand[take], mc[take], oc[take], JTc[take]
+        if take.all():
+            continue
+        stalled = ~take
+        for j in np.flatnonzero(stalled):
+            cands = th[j] + halvings[:, None] * delta[j, :, 0]
+            mh = ws.moments(cands)
+            oh = ipw._objective(mh, W)
+            good = np.flatnonzero(np.isfinite(mh).all(axis=-1) & np.isfinite(oh) & (oh < obj[j]))
+            if good.size:
+                i = good[0]
+                th[j], m[j], obj[j] = cands[i], mh[i], oh[i]
+                JT[j] = moments_and_jacobians(ws, cands[i : i + 1])[1][0]
+                stalled[j] = False
+        if stalled.any():
+            stop(stalled, gmax[stalled] < 1e-6 * (1.0 + obj[stalled]), True)
+    theta_out[run], obj_out[run] = th, obj
+    return theta_out, obj_out, converged, ok

@@ -1,13 +1,20 @@
+import gc
+import weakref
+
+import kernel_reference
 import numpy as np
 import pytest
 from scipy.special import expit
 
+from mnarmean import ipw
 from mnarmean.data import BasisTerm, Dataset, ModelConfig, select_x1
 from mnarmean.errors import MnarError, NonConvergenceError, UsageError
 from mnarmean.fitting import _ipw_basis
 from mnarmean.ipw import (
     GAMMA_LATTICE,
     MOMENT_TOL,
+    _gauss_newton,
+    _lattice_starts,
     _MomentWorkspace,
     default_ipw_start,
     monomial_basis,
@@ -211,35 +218,41 @@ def test_profile_is_intercept_moment():
         assert m == pytest.approx(ws.moments(theta), rel=1e-12)
 
 
-def test_moments_and_jacobians_take_any_stack():
-    """A stack of 12 thetas, more than len(GAMMA_LATTICE), gives row by row
-    the moments and Jacobians of single-theta calls."""
+def test_jacobians_take_any_stack():
+    """A stack of 12 thetas, more than len(GAMMA_LATTICE): the moments and
+    the Jacobians from the stack's weights, of all rows or of some, match row
+    by row those of single-theta calls and of the reference product."""
     ds = _mar_big(n=2000, seed=37)
     ws = _MomentWorkspace(ds, monomial_basis(2, 2), CFG2)
     thetas = np.column_stack(
         [np.linspace(-0.8, -0.2, 12), np.linspace(0.4, 1.0, 12), np.linspace(-1.0, 1.0, 12)]
     )
     assert len(thetas) > len(GAMMA_LATTICE)
-    m, JT = ws.moments_and_jacobians(thetas)
-    assert m.shape == (12, 6) and JT.shape == (12, 3, 6)
+    E, m = ws.weights_and_moments(thetas)
+    rows = np.array([1, 4, 5, 11])
+    JT, JT_rows = ws.jacobians(E), ws.jacobians(E, rows)
+    assert m.shape == (12, 6) and JT.shape == (12, 3, 6) and JT_rows.shape == (4, 3, 6)
+    np.testing.assert_allclose(JT_rows, JT[rows], rtol=1e-12, atol=0)
+    m_ref, JT_ref = kernel_reference.moments_and_jacobians(ws, thetas)
+    np.testing.assert_allclose(m, m_ref, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(JT, JT_ref, rtol=1e-12, atol=0)
     for theta, m_j, JT_j in zip(thetas, m, JT):
-        m1, JT1 = ws.moments_and_jacobians(theta[None])
+        E1, m1 = ws.weights_and_moments(theta[None])
         np.testing.assert_allclose(m_j, m1[0], rtol=1e-12, atol=0)
-        np.testing.assert_allclose(JT_j, JT1[0], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(JT_j, ws.jacobians(E1)[0], rtol=1e-12, atol=0)
         np.testing.assert_allclose(m_j, ws.moments(theta), rtol=1e-12, atol=0)
 
 
 def test_gauss_newton_reuses_the_scratch_buffers():
     """A second solve on one moment workspace allocates no new scratch
-    buffer and gives the first solve's results."""
-    from mnarmean.ipw import _gauss_newton, _lattice_starts, _MomentWorkspace
-
+    buffer (the candidates' weights, and the rows of them that the
+    Jacobians at the steps taken need) and gives the first solve's results."""
     ds = _mar_big(n=2000, seed=38)
     ws = _MomentWorkspace(ds, monomial_basis(2, 2), CFG2)
     theta0, W = _lattice_starts(ds, CFG2), np.eye(6)
     first = _gauss_newton(ws, theta0, W)
     buffers = dict(ws.workspace.buffers)
-    assert buffers
+    assert buffers.keys() == {"E", "E_rows"}
     second = _gauss_newton(ws, theta0, W)
     assert ws.workspace.buffers.keys() == buffers.keys()
     for slot, buf in buffers.items():
@@ -457,3 +470,115 @@ def test_start_with_overflowing_objective_is_not_ok():
     assert ok.tolist() == [True, False]
     assert obj[1] == np.inf and not converged[1]
     assert np.array_equal(theta[1], theta0[1])
+
+
+@pytest.mark.parametrize("scenario", ["example1", "example2"])
+@pytest.mark.parametrize("tag", ["ipw", "gmm3"])
+def test_fits_match_the_reference_kernel(monkeypatch, scenario, tag):
+    """150 datasets at n = 2 000, each fitted with ``_gauss_newton`` and with
+    the kernel it replaced (``kernel_reference.gauss_newton``): raise/no-raise
+    and the converged flag agree on at least 99% of fits, and where both
+    converge tau and theta agree to 1e-9 (ipw) or 1e-6 (gmm3) relative on at
+    least 99%.  The kernels sum the moments over stacks of different sizes,
+    so they round differently, and a start that wanders may end at another
+    root (seed 80 for ipw on Example 1, seed 20 for gmm3 on Example 2).
+    With 100 datasets that one fit would already exceed 1% of those where
+    both converge."""
+    sc = example1(-1.7, 0.0) if scenario == "example1" else example2()
+    cfg = sc.model_config()
+    datasets = [generate_dataset(sc, 2000, seed) for seed in range(150)]
+    tol = 1e-9 if tag == "ipw" else 1e-6
+    new = _fits(tag, datasets, cfg)
+    monkeypatch.setattr(ipw, "_gauss_newton", kernel_reference.gauss_newton)
+    flags_agree = close = both = 0
+    for a, b in zip(new, _fits(tag, datasets, cfg)):
+        if isinstance(a, MnarError) or isinstance(b, MnarError):
+            flags_agree += type(a) is type(b)
+            continue
+        flags_agree += a[2] == b[2]
+        if a[2] and b[2]:
+            both += 1
+            got, ref = np.append(a[0], a[1]), np.append(b[0], b[1])
+            close += bool(np.all(np.abs(got - ref) <= tol * np.maximum(1.0, np.abs(ref))))
+    assert flags_agree >= 0.99 * len(datasets)
+    assert close >= 0.99 * both
+
+
+def _gn_direction(ws, theta, W):
+    """The Gauss-Newton direction and max |gradient| at one theta, from the
+    reference Jacobian."""
+    m, JT = kernel_reference.moments_and_jacobians(ws, theta[None])
+    grad = 2.0 * (JT @ (W @ m[..., None]))
+    delta = np.linalg.solve(2.0 * (JT @ W @ JT.swapaxes(1, 2)), -grad)
+    return delta[0, :, 0], float(np.abs(grad).max()), float(m[0] @ W @ m[0])
+
+
+def _step_taken(theta0, theta1, delta):
+    """i for a step of 2^-i along delta, or None for no step."""
+    if np.array_equal(theta1, theta0):
+        return None
+    return int(np.argmin([np.abs(theta0 + 0.5**i * delta - theta1).max() for i in range(30)]))
+
+
+#: IPW iterates on Example 1 (alpha0 -1.7, delta 0, n = 2 000) whose line
+#: search crosses into the second tier.  On seed 3 the first acceptable step
+#: is 2^-11: each larger step has non-finite moments or raises the objective
+#: by 2.4e-4 relative or more, and 2^-11 lowers it by more than that.  On
+#: seed 25 no step of 1, ..., 2^-29 is acceptable (each with finite moments
+#: raises the objective by 4e-8 relative or more), at max |gradient| 8.2 (1
+#: + obj).  Found by scanning the second-tier line searches of seeds 0-119.
+_TIER_CASES = [
+    (3, [-48.99505620987184, 1.729326750686246, -7.034844943467695], 11),
+    (25, [-9.599572831704542, 0.4185025931782429, 1.700961084890949], None),
+]
+
+
+@pytest.mark.parametrize("seed, theta, step", _TIER_CASES)
+def test_second_tier_steps_match_the_reference_kernel(monkeypatch, seed, theta, step):
+    """One Gauss-Newton iteration from each recorded iterate: the kernel and
+    the reference take the same step, and stop the same way.  The start
+    with no acceptable step stops with converged set by the 1e-6 gradient
+    rule; it reached the line search, since max |gradient| >= 1e-8 (1 + obj)."""
+    sc = example1(-1.7, 0.0)
+    cfg = sc.model_config()
+    ds = generate_dataset(sc, 2000, seed)
+    ws = _MomentWorkspace(ds, _ipw_basis(ds.d, cfg.p), cfg)
+    theta0, W = np.array([theta]), np.eye(cfg.p)
+    delta, gmax, obj = _gn_direction(ws, theta0[0], W)
+    monkeypatch.setattr(ipw, "GN_MAX_ITER", 1)
+    new = _gauss_newton(ws, theta0, W)
+    ref = kernel_reference.gauss_newton(ws, theta0, W)
+    assert _step_taken(theta0[0], new[0][0], delta) == step
+    assert _step_taken(theta0[0], ref[0][0], delta) == step
+    assert new[2].tolist() == ref[2].tolist() == [step is None and gmax < 1e-6 * (1.0 + obj)]
+    assert new[3].tolist() == ref[3].tolist() == [True]
+    if step is None:
+        assert gmax >= 1e-8 * (1.0 + obj)
+        assert new[1][0] == pytest.approx(obj, rel=1e-12)
+
+
+def test_singular_member_leaves_no_reference_cycle(monkeypatch):
+    """A repeated basis column makes some member's J'WJ singular.  With the
+    cyclic garbage collector off, the moment workspace dies as soon as the
+    caller drops it: the stored LinAlgErrors hold no frame of the solver."""
+    ds = _mar_big(n=500)
+    basis = [BasisTerm((0, 0)), BasisTerm((1, 0)), BasisTerm((1, 0))]
+    singular = []
+    linalg_each = ipw.linalg_each
+
+    def spy(*args):
+        out = linalg_each(*args)
+        singular.extend(out[1])
+        return out
+
+    monkeypatch.setattr(ipw, "linalg_each", spy)
+    gc.disable()
+    try:
+        ws = _MomentWorkspace(ds, basis, CFG2)
+        alive = weakref.ref(ws)
+        _, _, _, ok = _gauss_newton(ws, _lattice_starts(ds, CFG2), np.eye(3))
+        del ws
+        assert alive() is None
+    finally:
+        gc.enable()
+    assert singular and not ok.all()
