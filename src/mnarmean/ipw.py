@@ -4,8 +4,8 @@ multi-root scan, and the overidentified two-step GMM comparator.
 
 These deliberately estimate a moment-generating function from the observed
 outcomes, which is the unstable operation the main estimator avoids;
-exponentials are computed raw here, and non-finite moment values are legal
-outputs rather than errors."""
+exponentials are computed raw here (floored only at e^EXP_FLOOR), and
+non-finite moment values are legal outputs rather than errors."""
 
 from __future__ import annotations
 
@@ -24,6 +24,11 @@ GAMMA_LATTICE = (-2.0, -1.0, 0.0, 1.0, 2.0)
 #: the line-search steps after a rejected full step, 1/2, ..., 2^-29, in the
 #: two tiers that ``_gauss_newton`` tries in turn: 2^-1 to 2^-8, then the rest
 HALVING_TIERS = np.split(0.5 ** np.arange(1, 30), [8])
+#: the smallest exponent the weights take: numpy's exp is 15 to 130 times
+#: slower on an entry whose result is below about e^-707, and a weight of
+#: e^-700 ~ 1e-304 is lost in every moment sum, which holds the missing
+#: rows' -sum g(x)
+EXP_FLOOR = -700.0
 GN_MAX_ITER = 200
 
 
@@ -80,9 +85,11 @@ class _MomentWorkspace:
         self.workspace = Workspace()
 
     def _weights(self, theta: np.ndarray) -> np.ndarray:
-        """e^{theta' v} at the observed rows, for theta (p,) or (k, p)."""
+        """e^{max(theta' v, EXP_FLOOR)} at the observed rows, for theta (p,)
+        or (k, p)."""
         (out,) = self.workspace.arrays("E", theta.shape[:-1] + self.VT.shape[1:])
-        return np.exp(np.matmul(theta, self.VT, out=out), out=out)
+        np.matmul(theta, self.VT, out=out)
+        return np.exp(np.maximum(out, EXP_FLOOR, out=out), out=out)
 
     def weights_and_moments(self, theta: np.ndarray):
         """The weights E = e^{theta' v} and m(theta) for one theta (p,) or a
@@ -211,16 +218,18 @@ def _first_acceptable(ws: _MomentWorkspace, W, th, delta, obj, steps):
     """The line search of ``_gauss_newton`` over one tier of ``steps``, for
     s starts at once: the candidates th + h delta of every start and step
     are one stack, exponentiated once.  Returns the mask of the starts with
-    an acceptable step, and at each of them the first such step's theta,
-    moments, objective and Jacobian."""
+    an acceptable step and, if there are any, at each of them the first such
+    step's theta, moments, objective and Jacobian (else an empty tuple)."""
     s, q = len(th), len(steps)
     cands = (th[:, None, :] + steps[:, None] * delta[:, None, :]).reshape(s * q, -1)
     E, mc = ws.weights_and_moments(cands)
     oc = _objective(mc, W)
     good = _acceptable(mc, oc, np.repeat(obj, q)).reshape(s, q)
     found = good.any(axis=1)
+    if not found.any():
+        return found, ()
     rows = np.flatnonzero(found) * q + good.argmax(axis=1)[found]
-    return found, cands[rows], mc[rows], oc[rows], ws.jacobians(E, rows)
+    return found, (cands[rows], mc[rows], oc[rows], ws.jacobians(E, rows))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -286,17 +295,19 @@ def _gauss_newton(ws: _MomentWorkspace, theta0: np.ndarray, W: np.ndarray):
             th, m, obj, JT = cand, mc, oc, ws.jacobians(E)
             continue
         i = np.flatnonzero(take)
-        th[i], m[i], obj[i], JT[i] = cand[i], mc[i], oc[i], ws.jacobians(E, i)
+        if i.size:
+            th[i], m[i], obj[i], JT[i] = cand[i], mc[i], oc[i], ws.jacobians(E, i)
         stalled = np.flatnonzero(~take)
         for steps in HALVING_TIERS:
-            found, *taken = _first_acceptable(
+            found, taken = _first_acceptable(
                 ws, W, th[stalled], delta[stalled, :, 0], obj[stalled], steps
             )
-            i = stalled[found]
-            th[i], m[i], obj[i], JT[i] = taken
-            stalled = stalled[~found]
-            if not stalled.size:
-                break
+            if taken:
+                i = stalled[found]
+                th[i], m[i], obj[i], JT[i] = taken
+                stalled = stalled[~found]
+                if not stalled.size:
+                    break
         if stalled.size:
             stalled = np.isin(np.arange(run.size), stalled)
             stop(stalled, gmax[stalled] < 1e-6 * (1.0 + obj[stalled]), True)

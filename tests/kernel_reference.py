@@ -3,8 +3,8 @@ as they were before each step was made to do its arithmetic once: Newton
 with two linear-predictor products per iteration and a gather of the design
 every iteration, least squares through a Q-forming QR, the sandwich pieces
 from row-major score rows, and Gauss-Newton with the Jacobians of every
-full step and all 29 halvings of a start that rejects it.  The tests hold
-the kernels in ``mnarmean`` to these."""
+full step, all 29 halvings of a start that rejects it, and no floor on the
+exponents.  The tests hold the kernels in ``mnarmean`` to these."""
 
 import numpy as np
 
@@ -186,12 +186,17 @@ def sandwich_batch(M, r, eps, mu_hat, z, theta, errs: ReplicateErrors) -> Sandwi
     return SandwichPieces(A1=A1, A2=A2, A3=A3, A4=A4, B=B, C1=C1, C2=C2, V=V)
 
 
+def moments(ws: ipw._MomentWorkspace, thetas):
+    """m (k, L) at k thetas (k, p) from the raw exponentials e^{theta' v}."""
+    return (np.exp(thetas @ ws.VT) @ ws.G_obs - ws.miss_sum) / ws.n
+
+
 def moments_and_jacobians(ws: ipw._MomentWorkspace, thetas):
     """m (k, L) and the transposed Jacobians dm/dtheta (k, p, L) at k thetas
-    (k, p) from one product: v's first entry is 1, so the sums
-    sum_obs e_i v_ij g_l(x_i) at j = 0 are the moment sums."""
+    (k, p) from one product of the raw exponentials: v's first entry is 1,
+    so the sums sum_obs e_i v_ij g_l(x_i) at j = 0 are the moment sums."""
     k, p = thetas.shape
-    EV = ws._weights(thetas)[:, None, :] * ws.VT
+    EV = np.exp(thetas @ ws.VT)[:, None, :] * ws.VT
     S = (EV.reshape(k * p, -1) @ ws.G_obs).reshape(k, p, -1)
     return (S[:, 0] - ws.miss_sum) / ws.n, S / ws.n
 
@@ -200,8 +205,8 @@ def moments_and_jacobians(ws: ipw._MomentWorkspace, thetas):
 def gauss_newton(ws: ipw._MomentWorkspace, theta0, W):
     """``ipw._gauss_newton``'s stop rules and step order, with the moments
     and Jacobians of every full step, and the 29 halvings of each start
-    that rejects its full step evaluated together, one start at a time.
-    Reads ``ipw.GN_MAX_ITER`` when called."""
+    that rejects its full step evaluated together, one start at a time, all
+    from raw exponentials.  Reads ``ipw.GN_MAX_ITER`` when called."""
     halvings = 0.5 ** np.arange(1, 30)
     th = np.array(theta0, dtype=float)
     m, JT = moments_and_jacobians(ws, th)
@@ -245,7 +250,7 @@ def gauss_newton(ws: ipw._MomentWorkspace, theta0, W):
         stalled = ~take
         for j in np.flatnonzero(stalled):
             cands = th[j] + halvings[:, None] * delta[j, :, 0]
-            mh = ws.moments(cands)
+            mh = moments(ws, cands)
             oh = ipw._objective(mh, W)
             good = np.flatnonzero(np.isfinite(mh).all(axis=-1) & np.isfinite(oh) & (oh < obj[j]))
             if good.size:

@@ -243,6 +243,26 @@ def test_jacobians_take_any_stack():
         np.testing.assert_allclose(m_j, ws.moments(theta), rtol=1e-12, atol=0)
 
 
+def test_floored_weights_give_the_moments_of_raw_exponentials():
+    """At a theta where a share of the observed rows' exponents lie below
+    EXP_FLOOR, where raw weights underflow to 0 or a subnormal, the moments,
+    the Jacobians and tau equal bitwise those from the raw exponentials."""
+    ds = _mar_big(n=2000, seed=39)
+    ws = _MomentWorkspace(ds, monomial_basis(2, 2), CFG2)
+    y = ws.VT[-1]
+    slope = 705.0 / (y.max() - np.median(y))
+    theta = np.array([5.0 - slope * y.max(), 0.0, slope])  # e^5 at the largest y
+    exponents = theta @ ws.VT
+    assert 0.4 < np.mean(exponents < ipw.EXP_FLOOR) < 0.6
+    raw = np.exp(exponents)
+    E, m = ws.weights_and_moments(theta[None])
+    assert np.array_equal(E[0], np.maximum(raw, np.exp(ipw.EXP_FLOOR)))
+    assert np.array_equal(m[0], (raw @ ws.G_obs - ws.miss_sum) / ws.n)
+    assert np.array_equal(ws.jacobians(E)[0].ravel(), raw @ ws.VG / ws.n)
+    tau, _ = ipw._horvitz_thompson(ws, theta)
+    assert tau == float(np.sum((1.0 + raw) * y) / ws.n)
+
+
 def test_gauss_newton_reuses_the_scratch_buffers():
     """A second solve on one moment workspace allocates no new scratch
     buffer (the candidates' weights, and the rows of them that the
@@ -476,14 +496,14 @@ def test_start_with_overflowing_objective_is_not_ok():
 @pytest.mark.parametrize("tag", ["ipw", "gmm3"])
 def test_fits_match_the_reference_kernel(monkeypatch, scenario, tag):
     """150 datasets at n = 2 000, each fitted with ``_gauss_newton`` and with
-    the kernel it replaced (``kernel_reference.gauss_newton``): raise/no-raise
-    and the converged flag agree on at least 99% of fits, and where both
-    converge tau and theta agree to 1e-9 (ipw) or 1e-6 (gmm3) relative on at
-    least 99%.  The kernels sum the moments over stacks of different sizes,
-    so they round differently, and a start that wanders may end at another
-    root (seed 80 for ipw on Example 1, seed 20 for gmm3 on Example 2).
-    With 100 datasets that one fit would already exceed 1% of those where
-    both converge."""
+    the kernel it replaced (``kernel_reference.gauss_newton``, whose
+    exponentials have no floor): raise/no-raise and the converged flag agree
+    on at least 99% of fits, and where both converge tau and theta agree to
+    1e-9 (ipw) or 1e-6 (gmm3) relative on at least 99%.  The kernels sum the
+    moments over stacks of different sizes, so they round differently, and a
+    start that wanders may end at another root (seed 80 for ipw on Example
+    1, seed 20 for gmm3 on Example 2).  With 100 datasets that one fit would
+    already exceed 1% of those where both converge."""
     sc = example1(-1.7, 0.0) if scenario == "example1" else example2()
     cfg = sc.model_config()
     datasets = [generate_dataset(sc, 2000, seed) for seed in range(150)]
