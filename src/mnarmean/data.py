@@ -85,7 +85,10 @@ class BasisTerm:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        exps = tuple(int(e) for e in self.exponents)
+        given = tuple(self.exponents)
+        exps = tuple(int(e) for e in given)
+        if exps != given:
+            raise ParseError(f"basis term exponents must be integers, got {given}")
         object.__setattr__(self, "exponents", exps)
         if any(e < 0 for e in exps):
             raise ParseError(f"negative exponent in basis term {exps}")
@@ -104,6 +107,11 @@ class BasisTerm:
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """Column of monomial values for an n x d covariate matrix."""
+        if len(self.exponents) != x.shape[1]:
+            raise ParseError(
+                f"basis term {self.exponents} has dimension {len(self.exponents)}, "
+                f"expected {x.shape[1]}"
+            )
         out = np.ones(x.shape[0])
         for j, e in enumerate(self.exponents):
             if e == 1:
@@ -127,7 +135,10 @@ class ModelConfig:
             t if isinstance(t, BasisTerm) else BasisTerm(tuple(t))
             for t in self.mean_basis
         )
-        cols = tuple(int(c) for c in self.x1_columns)
+        given = tuple(self.x1_columns)
+        cols = tuple(int(c) for c in given)
+        if cols != given:
+            raise ParseError(f"x1_columns must be integers, got {given}")
         object.__setattr__(self, "mean_basis", basis)
         object.__setattr__(self, "x1_columns", cols)
         if not basis:
@@ -166,7 +177,7 @@ class ModelConfig:
                 tuple(BasisTerm(tuple(e)) for e in obj["mean_basis"]),
                 tuple(obj["x1_columns"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"malformed model config: {exc}") from exc
 
 
@@ -179,29 +190,23 @@ class DesignMatrices:
 
 
 def build_design(ds: Dataset, cfg: ModelConfig) -> DesignMatrices:
-    """Evaluate every mean-basis monomial and extract the x1 columns."""
-    for c in cfg.x1_columns:
-        if c > ds.d:
-            raise ParseError(f"x1 column {c} exceeds covariate dimension {ds.d}")
-    for t in cfg.mean_basis:
-        if len(t.exponents) != ds.d:
-            raise ParseError(
-                f"basis term {t.exponents} has dimension {len(t.exponents)}, "
-                f"expected {ds.d}"
-            )
-    cols = []
-    for k, t in enumerate(cfg.mean_basis):
-        col = t.evaluate(ds.x)
-        if not np.isfinite(col).all():
-            raise SingularDesignError(
-                f"non-finite evaluation of basis term {k} {t.exponents}"
-            )
-        cols.append(col)
-    return DesignMatrices(M=np.column_stack(cols), X1=select_x1(ds.x, cfg.x1_columns))
+    """Extract the x1 columns, then evaluate every mean-basis monomial."""
+    X1 = select_x1(ds.x, cfg.x1_columns)
+    M = np.column_stack([t.evaluate(ds.x) for t in cfg.mean_basis])
+    if not np.isfinite(M).all():
+        k = int(np.argmin(np.isfinite(M).all(axis=0)))
+        t = cfg.mean_basis[k]
+        raise SingularDesignError(f"non-finite evaluation of basis term {k} {t.exponents}")
+    return DesignMatrices(M=M, X1=X1)
 
 
 def select_x1(x: np.ndarray, x1_columns) -> np.ndarray:
     """The propensity covariates: the 1-based ``x1_columns`` of ``x``."""
+    for c in x1_columns:
+        if c < 1:
+            raise ParseError("x1_columns are 1-based and must be >= 1")
+        if c > x.shape[1]:
+            raise ParseError(f"x1 column {c} exceeds covariate dimension {x.shape[1]}")
     return x[:, [c - 1 for c in x1_columns]]
 
 
@@ -317,6 +322,9 @@ def parse_dataset(path, y_col: str = "y", r_col: str | None = None) -> Dataset:
     if split is None:
         raise ParseError(f"{path}: empty file, expected a header row")
     header, counts, tokens, plain = split
+    if len(set(header)) < len(header):
+        name = next(c for j, c in enumerate(header) if c in header[:j])
+        raise ParseError(f"{path}: column '{name}' appears more than once in the header")
 
     def col_index(name):
         try:

@@ -365,7 +365,10 @@ def run_study(
     failed fits count as NCR and never abort the study, but an unknown
     method tag raises UsageError before any replication, and a tag that a
     fit rejects, such as ``gmm1`` on one covariate, raises it from the
-    first replication."""
+    first replication.  An empty method list raises UsageError before any
+    truth or replication is computed."""
+    if not methods:
+        raise UsageError("methods is empty: name at least one estimator")
     for method in methods:
         if method != "oracle":
             check_estimator_tag(method)

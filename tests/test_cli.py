@@ -147,6 +147,31 @@ def test_fit_non_finite_cell_is_parse_error(cli_files, capsys, column, value):
     assert f"row {i}, column '{column}'" in err["message"]
 
 
+@pytest.mark.parametrize("header", ["y,x1,x1", "y,x1,y"])
+def test_fit_repeated_header_name_is_parse_error(cli_files, capsys, header):
+    root, _, cfg = cli_files
+    rows = [header.split(",")] + [["1.5", "0.5", "-0.5"], ["2.5", "1.0", "0.2"]]
+    data = _write_rows(root / "repeated.csv", rows)
+    assert main(["fit", "--data", data, "--model-config", cfg]) == 2
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"] == "PARSE"
+    assert "appears more than once in the header" in err["message"]
+
+
+@pytest.mark.parametrize("config", [
+    '{"mean_basis": [[0, 0], [1.7, 0], [0, 1]], "x1_columns": [1]}',
+    '{"mean_basis": [[0, 0], [1, 0], [0, 1]], "x1_columns": [1.9]}',
+    '{"mean_basis": [[0, 0], ["1", 0], [0, 1]], "x1_columns": [1]}',
+    '{"mean_basis": [[0, 0], [Infinity, 0], [0, 1]], "x1_columns": [1]}',
+], ids=["exponent-1.7", "x1-1.9", "exponent-string", "exponent-inf"])
+def test_fit_non_integer_model_config_is_parse_error(cli_files, capsys, config):
+    root, data, _ = cli_files
+    cfg = root / "non_integer.json"
+    cfg.write_text(config, encoding="utf-8")
+    assert main(["fit", "--data", data, "--model-config", str(cfg)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "PARSE"
+
+
 def test_fit_unidentifiable_exits_2(cli_files, capsys):
     root, data, _ = cli_files
     bad = root / "bad_model.json"
@@ -207,6 +232,18 @@ def test_simulate_unknown_method_usage_error(capsys):
     ])
     assert rc == 2
     assert json.loads(capsys.readouterr().out)["error"] == "USAGE"
+
+
+def test_simulate_empty_method_list_usage_error(tmp_path, capsys):
+    """--methods "," once ran every replication and wrote a header-only CSV."""
+    out_csv = tmp_path / "empty.csv"
+    rc = main([
+        "simulate", "--scenario", "example1", "--n", "2000", "--reps", "50",
+        "--methods", ",", "--truth-draws", "1000", "--out-csv", str(out_csv),
+    ])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "USAGE"
+    assert not out_csv.exists()
 
 
 def test_simulate_reps_zero_usage_error(capsys):

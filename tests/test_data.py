@@ -1,4 +1,5 @@
 import csv
+import json
 import re
 
 import numpy as np
@@ -154,6 +155,9 @@ def _reference_parse(path, y_col="y", r_col=None):
         except StopIteration:
             raise ParseError(f"{path}: empty file, expected a header row")
         rows = list(reader)
+    for j, name in enumerate(header):
+        if name in header[:j]:
+            raise ParseError(f"{path}: column '{name}' appears more than once in the header")
 
     def col_index(name):
         try:
@@ -381,6 +385,22 @@ def test_header_without_the_y_column(tmp_path):
     assert str(exc.value) == f"{p}: column 'y' not found in header"
 
 
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "csv-reader"])
+@pytest.mark.parametrize(
+    "header, name", [("y,x1,x1", "x1"), ("y,x1,y", "y"), ("x1,y,r,x1", "x1")]
+)
+def test_repeated_header_name_is_a_parse_error(tmp_path, header, name, quoted):
+    """A repeated name once read one column twice and dropped the other; the
+    two split paths (with and without a quote character) reject it alike."""
+    cell = '"0.5"' if quoted else "0.5"
+    p = tmp_path / "repeated.csv"
+    p.write_text(header + "\n" + ",".join([cell] * len(header.split(","))) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        parse_dataset(p)
+    assert str(exc.value) == f"{p}: column '{name}' appears more than once in the header"
+    _assert_same_parse(p)
+
+
 @given(
     st.lists(st.floats(-3, 3), min_size=1, max_size=8),
     st.lists(st.floats(-3, 3), min_size=1, max_size=8),
@@ -401,6 +421,35 @@ def test_basis_term_degree_cap():
         BasisTerm((5,))
     with pytest.raises(ParseError):
         BasisTerm((-1,))
+
+
+@pytest.mark.parametrize("value", [1.7, "1", 1.9, np.float64(0.5)])
+def test_non_integer_config_values_are_parse_errors(value):
+    """int() once truncated 1.7 and 1.9 to 1 and read "1" as 1."""
+    with pytest.raises(ParseError, match="basis term exponents must be integers"):
+        BasisTerm((value, 0))
+    with pytest.raises(ParseError, match="x1_columns must be integers"):
+        ModelConfig(mean_basis=(BasisTerm((0,)), BasisTerm((2,))), x1_columns=(value,))
+    with pytest.raises(ParseError, match="must be integers"):
+        ModelConfig.from_json(json.dumps({"mean_basis": [[0, 0], [value, 0]], "x1_columns": [1]}))
+
+
+def test_integral_config_values_are_accepted():
+    for value in (1, 1.0, np.int64(1), np.float64(1.0)):
+        assert BasisTerm((value, 0)).exponents == (1, 0)
+        cfg = ModelConfig(mean_basis=(BasisTerm((0,)), BasisTerm((2,))), x1_columns=(value,))
+        assert cfg.x1_columns == (1,) and type(cfg.x1_columns[0]) is int
+    # an iterator is read once
+    assert BasisTerm(iter((1, 0))).exponents == (1, 0)
+    assert ModelConfig(mean_basis=((0,), (2,)), x1_columns=iter([1])).x1_columns == (1,)
+    cfg = ModelConfig.from_json('{"mean_basis": [[0, 0], [1.0, 0]], "x1_columns": [2.0]}')
+    assert cfg.to_json() == '{"mean_basis": [[0, 0], [1, 0]], "x1_columns": [2]}'
+
+
+@pytest.mark.parametrize("text", ["Infinity", "-Infinity", "NaN"])
+def test_non_finite_config_value_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="malformed model config"):
+        ModelConfig.from_json(f'{{"mean_basis": [[0, 0], [{text}, 0]], "x1_columns": [1]}}')
 
 
 def test_model_config_validation():

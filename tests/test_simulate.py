@@ -185,6 +185,18 @@ def test_run_study_rejects_unknown_method_before_replicating(monkeypatch):
         run_study(sc, 200, 3, ["proposed", "propsed"], seed=1, tau0=2.177)
 
 
+def test_run_study_rejects_an_empty_method_list_before_any_truth(monkeypatch):
+    import mnarmean.simulate as sim
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("truth or a replication ran")
+
+    monkeypatch.setattr(sim, "compute_truth", no_work)
+    monkeypatch.setattr(sim, "_parallel_map", no_work)
+    with pytest.raises(UsageError, match="methods is empty"):
+        run_study(example1(alpha0=-1.7, delta=0.0), 2000, 50, [])
+
+
 def test_usage_error_is_not_an_mnar_error():
     """A wrong argument is never counted as a failed fit."""
     assert not issubclass(UsageError, MnarError)
