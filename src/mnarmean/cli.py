@@ -2,7 +2,12 @@
 
 Exit codes: 0 success, 1 internal bug, 2 user/data error (with a
 machine-readable error JSON on stdout).  All outputs are deterministic
-given flags, seed and the number of BLAS threads."""
+given flags and seed.  Each command runs OpenBLAS on one thread, as do
+``run_study`` and ``run_coverage_study``, so the output does not depend on
+``OPENBLAS_NUM_THREADS``.  A library fit called directly keeps the caller's
+thread count, study workers started by ``spawn`` or ``forkserver`` do not
+inherit the setting, and with another BLAS the thread count can still change
+the last digits of a statistic."""
 
 from __future__ import annotations
 
@@ -14,14 +19,22 @@ import sys
 import numpy as np
 
 from . import __version__
+from ._blas import one_blas_thread
 from .bootstrap import bootstrap_percentile_ci, bootstrap_t_ci
 from .data import ModelConfig, parse_dataset
 from .diagnostics import ncv_score_test, uss_gof_test
 from .errors import DataIOError, MnarError, UsageError
 from .fitting import fit_mean_response
-from .inference import H1_VARIANTS
+from .inference import H1_VARIANTS, check_level
 from .ipw import profile_gamma
-from .simulate import SCENARIOS, TRUTH_DRAWS, compute_truth, run_coverage_study, run_study
+from .simulate import (
+    SCENARIOS,
+    TRUTH_DRAWS,
+    check_methods,
+    compute_truth,
+    run_coverage_study,
+    run_study,
+)
 
 DEFAULT_SEED = 20220513
 SCHEMA_VERSION = 1
@@ -114,8 +127,11 @@ def cmd_simulate(args) -> int:
     if given and args.scenario == "section2":
         raise UsageError("--scenario section2 is a fixed design: it takes no --alpha0 or --delta")
     sc = SCENARIOS[args.scenario](**given)
-    truth = compute_truth(sc, args.truth_draws, seed=np.random.SeedSequence((args.seed, 1)))
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    # the truth draws --truth-draws covariate rows, so a wrong argument fails first
+    check_methods(methods)
+    check_level(args.level)
+    truth = compute_truth(sc, args.truth_draws, seed=np.random.SeedSequence((args.seed, 1)))
     rows = run_study(
         sc, args.n, args.reps, methods, seed=args.seed,
         tau0=truth["tau0"], threads=args.threads,
@@ -257,7 +273,8 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors, matching our taxonomy
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        with one_blas_thread():
+            return args.func(args)
     except (MnarError, UsageError) as exc:
         _write_json({"error": exc.code, "message": str(exc)}, None)
         return 2

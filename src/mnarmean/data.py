@@ -105,13 +105,17 @@ class BasisTerm:
     def total_degree(self) -> int:
         return sum(self.exponents)
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        """Column of monomial values for an n x d covariate matrix."""
-        if len(self.exponents) != x.shape[1]:
+    def check_dimension(self, d: int) -> None:
+        """Raise ParseError unless the term has one exponent per covariate."""
+        if len(self.exponents) != d:
             raise ParseError(
                 f"basis term {self.exponents} has dimension {len(self.exponents)}, "
-                f"expected {x.shape[1]}"
+                f"expected {d}"
             )
+
+    def evaluate(self, x: np.ndarray) -> np.ndarray:
+        """Column of monomial values for an n x d covariate matrix."""
+        self.check_dimension(x.shape[1])
         out = np.ones(x.shape[0])
         for j, e in enumerate(self.exponents):
             if e == 1:

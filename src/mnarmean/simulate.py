@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .data import BasisTerm, Dataset, ModelConfig, select_x1
 from .bootstrap import bootstrap_t_ci
 from .errors import MnarError, SingularDesignError, UsageError
@@ -149,6 +150,7 @@ class Scenario:
         """E mu(X; xi) in closed form via normal raw moments."""
         total = 0.0
         for coef, term in zip(self.xi_true, self.mean_basis):
+            term.check_dimension(len(self.covariate_law))
             prod = 1.0
             for (m, v), e in zip(self.covariate_law, term.exponents):
                 prod *= _normal_raw_moment(m, v, e)
@@ -331,10 +333,13 @@ def _study_rep(args):
 
 
 def _parallel_map(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items, chunksize=8))
+    # the pool is made inside the pin, so forked workers inherit one BLAS
+    # thread and never start OpenBLAS's thread server
+    with one_blas_thread():
+        if threads <= 1:
+            return [fn(it) for it in items]
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items, chunksize=8))
 
 
 def _replicate(fn, args, sc, n, reps, seed, tau0, threads):
@@ -352,6 +357,15 @@ def _replicate(fn, args, sc, n, reps, seed, tau0, threads):
     return tau0, _parallel_map(fn, [(sc, n, tau0, s, *args) for s in children], threads)
 
 
+def check_methods(methods: list[str]) -> None:
+    """Raise UsageError for an empty method list or an unknown tag."""
+    if not methods:
+        raise UsageError("methods is empty: name at least one estimator")
+    for method in methods:
+        if method != "oracle":
+            check_estimator_tag(method)
+
+
 def run_study(
     sc: Scenario,
     n: int,
@@ -367,11 +381,7 @@ def run_study(
     fit rejects, such as ``gmm1`` on one covariate, raises it from the
     first replication.  An empty method list raises UsageError before any
     truth or replication is computed."""
-    if not methods:
-        raise UsageError("methods is empty: name at least one estimator")
-    for method in methods:
-        if method != "oracle":
-            check_estimator_tag(method)
+    check_methods(methods)
     tau0, results = _replicate(
         _study_rep, (tuple(methods),), sc, n, reps, seed, tau0, threads
     )

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from mnarmean import cli
 from mnarmean.cli import main
 from mnarmean.data import write_dataset
 from mnarmean.simulate import (
@@ -244,6 +245,25 @@ def test_simulate_empty_method_list_usage_error(tmp_path, capsys):
     assert rc == 2
     assert json.loads(capsys.readouterr().out)["error"] == "USAGE"
     assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("extra", [
+    pytest.param(["--methods", ","], id="empty"),
+    pytest.param(["--methods", "propsed"], id="misspelt"),
+    pytest.param(["--coverage", "wald", "--level", "1.5"], id="level"),
+])
+def test_simulate_checks_its_arguments_before_the_truth(monkeypatch, capsys, extra):
+    """The truth's 2 000 000 default draws took 0.2 s before a wrong method
+    list was reported, and a wrong level failed only after the study."""
+    def no_truth(*args, **kwargs):
+        raise AssertionError("compute_truth ran before the arguments were checked")
+
+    monkeypatch.setattr(cli, "compute_truth", no_truth)
+    rc = main([
+        "simulate", "--scenario", "example1", "--n", "2000", "--reps", "50", *extra,
+    ])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "USAGE"
 
 
 def test_simulate_reps_zero_usage_error(capsys):

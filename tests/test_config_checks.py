@@ -1,7 +1,8 @@
 """A model config that does not fit the covariates is rejected the same way
 by every entry point: ``select_x1`` checks the x1 columns and
-``BasisTerm.evaluate`` the dimension of a term, so the fits that never call
-``build_design`` raise the same ParseError as the ones that do."""
+``BasisTerm.check_dimension`` the dimension of a term, for ``evaluate`` and
+``Scenario.mean_mu``, so the fits that never call ``build_design`` raise the
+same ParseError as the ones that do."""
 
 import json
 import re
@@ -77,11 +78,18 @@ ENTRY_POINTS = {
     "generate_dataset": lambda ds, x1, term: generate_dataset(_scenario(x1, term), 50, seed=1),
     "compute_truth": lambda ds, x1, term: compute_truth(_scenario(x1, term), 1000, seed=1),
 }
-#: the entry points that evaluate the mis-sized term
-EVALUATE_THE_TERM = [
-    "build_design", "fit_mean_response", "solve_ipw", "point_estimate-proposed",
-    "generate_dataset", "compute_truth",
-]
+#: the entry points that evaluate the mis-sized term, and Scenario.mean_mu,
+#: which takes its moments from the covariate laws and reads no x1 column
+EVALUATE_THE_TERM = {
+    **{
+        name: ENTRY_POINTS[name]
+        for name in (
+            "build_design", "fit_mean_response", "solve_ipw", "point_estimate-proposed",
+            "generate_dataset", "compute_truth",
+        )
+    },
+    "mean_mu": lambda ds, x1, term: _scenario(x1, term).mean_mu(),
+}
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
@@ -94,7 +102,7 @@ def test_out_of_range_x1_column_is_a_parse_error(ds, entry):
 @pytest.mark.parametrize("entry", EVALUATE_THE_TERM)
 def test_mis_sized_term_is_a_parse_error(ds, entry, term):
     with pytest.raises(ParseError, match=f"^{re.escape(TERM_MESSAGES[term])}$"):
-        ENTRY_POINTS[entry](ds, (1,), term)
+        EVALUATE_THE_TERM[entry](ds, (1,), term)
 
 
 @pytest.mark.parametrize("entry", ["generate_dataset", "compute_truth"])
