@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._workspace import Workspace
-from .data import Dataset, ModelConfig
+from .data import Dataset, ModelConfig, build_design
 from .errors import (
     MgfOverflowError,
     MnarError,
@@ -21,8 +21,8 @@ from .errors import (
     ReplicateErrors,
     UsageError,
 )
-from .fitting import fit_replicates, fit_with_variance, identified_outcome, point_estimate
-from .inference import ConfidenceInterval, check_level
+from .fitting import fit_replicates, fit_with_variance, point_estimate, require_identifiable
+from .inference import ConfidenceInterval, check_level, check_variant
 
 FAILURE_TOLERANCE = 0.05
 
@@ -65,6 +65,12 @@ def t_interval_from_stats(
     )
 
 
+def check_resamples(B: int) -> None:
+    """Raise UsageError unless the bootstrap resample count B is at least 99."""
+    if B < 99:
+        raise UsageError(f"B must be >= 99, got {B}")
+
+
 def _resample(ds: Dataset, B: int, seed: int, fit, statistic):
     """The pairs-bootstrap loop shared by both intervals.  Runs ``fit`` on the
     original sample, then draws the B resamples, each from its own child RNG,
@@ -74,8 +80,7 @@ def _resample(ds: Dataset, B: int, seed: int, fit, statistic):
     statistics with the ReplicateErrors that failed some of them; failures
     are counted by error code.  Returns (fit(ds), statistics of the
     resamples that succeeded, failure counts)."""
-    if B < 99:
-        raise UsageError(f"B must be >= 99, got {B}")
+    check_resamples(B)
     original = fit(ds)
     rngs = _child_rngs(seed, B)
     size = max(1, CHUNK_ROWS // ds.n)
@@ -112,10 +117,11 @@ def bootstrap_t_ci(
     """Studentized bootstrap: the normal quantiles of the Wald CI are replaced
     by empirical quantiles of t* = sqrt(n) (tau* - tau_hat) / sigma_tau*."""
     check_level(level)
+    check_variant(variant)
     n = ds.n
 
     def fit(sample):
-        identified_outcome(sample, cfg)
+        require_identifiable(build_design(sample, cfg))
         tau, _, var = fit_with_variance(sample, cfg, variant)
         return tau.tau_hat, var.sigma2_tau
 
@@ -158,7 +164,7 @@ def bootstrap_percentile_ci(
 
     def fit(sample):
         if estimator_tag in ("proposed", "normal_plugin"):
-            identified_outcome(sample, cfg)
+            require_identifiable(build_design(sample, cfg))
         return point_estimate(estimator_tag, sample, cfg)[0]
 
     def tau_star(idx, _, workspace):

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from ._blas import one_blas_thread
-from .bootstrap import bootstrap_percentile_ci, bootstrap_t_ci
+from .bootstrap import bootstrap_percentile_ci, bootstrap_t_ci, check_resamples
 from .data import ModelConfig, parse_dataset
 from .diagnostics import ncv_score_test, uss_gof_test
 from .errors import DataIOError, MnarError, UsageError
@@ -31,6 +31,7 @@ from .simulate import (
     SCENARIOS,
     TRUTH_DRAWS,
     check_methods,
+    check_sample_size,
     compute_truth,
     run_coverage_study,
     run_study,
@@ -66,6 +67,7 @@ def _write_csv(rows, path: str | None):
 
 
 def cmd_fit(args) -> int:
+    check_level(args.level)
     ds = parse_dataset(args.data, y_col=args.y_col, r_col=args.r_col)
     cfg = _load_config(args.model_config)
     res = fit_mean_response(ds, cfg, level=args.level, variant=args.variant)
@@ -131,6 +133,9 @@ def cmd_simulate(args) -> int:
     # the truth draws --truth-draws covariate rows, so a wrong argument fails first
     check_methods(methods)
     check_level(args.level)
+    check_sample_size(args.n)
+    if args.coverage == "bootstrap_t":
+        check_resamples(args.bootstrap)
     truth = compute_truth(sc, args.truth_draws, seed=np.random.SeedSequence((args.seed, 1)))
     rows = run_study(
         sc, args.n, args.reps, methods, seed=args.seed,

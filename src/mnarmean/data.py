@@ -19,6 +19,9 @@ MAX_DEGREE = 4
 #: times its own norm lies in that span
 SPAN_TOL = 1e-8
 
+#: the message of every error for a mean basis in span{1, x1}
+NOT_IDENTIFIABLE = "mean basis lies in the span of {1, x1}: theta is not identifiable"
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -212,6 +215,18 @@ def select_x1(x: np.ndarray, x1_columns) -> np.ndarray:
         if c > x.shape[1]:
             raise ParseError(f"x1 column {c} exceeds covariate dimension {x.shape[1]}")
     return x[:, [c - 1 for c in x1_columns]]
+
+
+def basis_in_x1_span(mean_basis, x1_columns) -> bool:
+    """The structural identifiability rule: whether every term of the mean
+    basis is the intercept or x_j for a 1-based x1 column j, so that
+    mu(x; xi) is linear in x1 whatever the data.  check_identifiability
+    reads the same unless some other term is, on the data at hand, an exact
+    affine function of the x1 columns."""
+    return all(
+        t.is_intercept or (t.total_degree == 1 and t.exponents.index(1) + 1 in x1_columns)
+        for t in mean_basis
+    )
 
 
 @dataclass(frozen=True)

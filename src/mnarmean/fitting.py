@@ -11,10 +11,12 @@ import numpy as np
 
 from ._workspace import Workspace
 from .data import (
+    NOT_IDENTIFIABLE,
     Dataset,
     DesignMatrices,
     IdentifiabilityReport,
     ModelConfig,
+    basis_in_x1_span,
     build_design,
     check_identifiability,
 )
@@ -24,6 +26,8 @@ from .inference import (
     SandwichPieces,
     VarianceEstimates,
     build_sandwich,
+    check_level,
+    check_variant,
     estimate_sigma_tau,
     sandwich_batch,
     sigma_tau_batch,
@@ -54,7 +58,11 @@ def fit_mean_response(
     level: float = 0.95,
     variant: str = "printed",
 ) -> FitResult:
-    dm, outcome, ident = identified_outcome(ds, cfg)
+    check_level(level)
+    check_variant(variant)
+    dm = build_design(ds, cfg)
+    outcome = fit_least_squares(ds, dm)
+    ident = require_identifiable(dm, outcome.xi_hat)
     fit = _selection_step(ds, cfg, dm, outcome)
     tau, propensity, _, mu_hat, _ = fit
     pieces, variance = _sandwich_variance(ds, cfg, fit, variant)
@@ -72,25 +80,28 @@ def fit_mean_response(
     )
 
 
-def identified_outcome(ds: Dataset, cfg: ModelConfig):
-    """The first steps of fit_mean_response, with its errors: returns (design,
-    outcome fit, identifiability report), and raises IdentifiabilityError
-    when the mean basis lies in the span of {1, x1}."""
-    dm = build_design(ds, cfg)
-    outcome = fit_least_squares(ds, dm)
-    ident = check_identifiability(dm, xi_hat=outcome.xi_hat)
+def require_identifiable(dm: DesignMatrices, xi_hat=None) -> IdentifiabilityReport:
+    """check_identifiability's report on the design, raising
+    IdentifiabilityError when theta is not identifiable on these data."""
+    ident = check_identifiability(dm, xi_hat)
     if not ident.identifiable:
-        raise IdentifiabilityError(
-            "mean basis lies in the span of {1, x1}: theta is not identifiable"
-        )
-    return dm, outcome, ident
+        raise IdentifiabilityError(NOT_IDENTIFIABLE)
+    return ident
 
 
 def fit_tau_only(ds: Dataset, cfg: ModelConfig, normal_plugin: bool = False):
     """Lean path for simulation replications that only need point estimates:
-    returns (tau_estimate, propensity_fit, outcome_fit, mu_hat, dm)."""
+    returns (tau_estimate, propensity_fit, outcome_fit, mu_hat, dm).  After
+    least squares it raises IdentifiabilityError for a mean basis in
+    span{1, x1} by the structural rule, ``basis_in_x1_span``, at O(q) cost.
+    It runs no QR of the data, so a basis that lies in that span only
+    through an exact linear relation among these covariates reaches the
+    propensity fit; fit_mean_response and the bootstraps catch that case."""
     dm = build_design(ds, cfg)
-    return _selection_step(ds, cfg, dm, fit_least_squares(ds, dm), normal_plugin)
+    outcome = fit_least_squares(ds, dm)
+    if basis_in_x1_span(cfg.mean_basis, cfg.x1_columns):
+        raise IdentifiabilityError(NOT_IDENTIFIABLE)
+    return _selection_step(ds, cfg, dm, outcome, normal_plugin)
 
 
 def _selection_step(ds, cfg, dm, outcome, normal_plugin=False):
@@ -114,6 +125,7 @@ def _sandwich_variance(ds, cfg, fit, variant):
 def fit_with_variance(ds: Dataset, cfg: ModelConfig, variant: str = "printed"):
     """fit_tau_only, then build_sandwich and estimate_sigma_tau: returns
     (tau_estimate, propensity_fit, variance_estimates)."""
+    check_variant(variant)
     fit = fit_tau_only(ds, cfg)
     return fit[0], fit[1], _sandwich_variance(ds, cfg, fit, variant)[1]
 

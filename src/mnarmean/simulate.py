@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._blas import one_blas_thread
-from .data import BasisTerm, Dataset, ModelConfig, select_x1
-from .bootstrap import bootstrap_t_ci
+from .data import NOT_IDENTIFIABLE, BasisTerm, Dataset, ModelConfig, basis_in_x1_span, select_x1
+from .bootstrap import bootstrap_t_ci, check_resamples
 from .errors import MnarError, SingularDesignError, UsageError
 from .fitting import check_estimator_tag, fit_with_variance, point_estimate
 from .inference import check_level, check_variant, wald_ci
@@ -116,16 +116,10 @@ class Scenario:
             raise UsageError("mean_basis and xi_true lengths differ")
         if len(self.beta) != len(self.x1_columns):
             raise UsageError("beta and x1_columns lengths differ")
-        # the covariates are independent normals, so a term lies in span{1, x1}
-        # exactly when it is the intercept or x_j for an x1 column j
-        x1 = {j - 1 for j in self.x1_columns}
-        if all(
-            t.total_degree <= 1 and set(np.flatnonzero(t.exponents)) <= x1
-            for t in self.mean_basis
-        ):
-            raise UsageError(
-                "mean basis lies in the span of {1, x1}: theta is not identifiable"
-            )
+        # the covariates are independent normals, so the structural rule is
+        # what check_identifiability finds in every replication
+        if basis_in_x1_span(self.mean_basis, self.x1_columns):
+            raise UsageError(NOT_IDENTIFIABLE)
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(mean_basis=self.mean_basis, x1_columns=self.x1_columns)
@@ -257,8 +251,7 @@ def _draw_covariates(sc: Scenario, rng: np.random.Generator, n: int) -> np.ndarr
 
 def _complete_data(sc: Scenario, n: int, seed):
     """(r, y, x) with y drawn for every row, the missing ones included."""
-    if n < 1:
-        raise UsageError("n must be >= 1")
+    check_sample_size(n)
     rng = _rng(seed)
     x = _draw_covariates(sc, rng, n)
     pi = sc.pi_truth(x)
@@ -269,6 +262,12 @@ def _complete_data(sc: Scenario, n: int, seed):
     eps[obs] = sc.error_law.sample(rng, int(obs.sum()))
     eps[~obs] = tilted.sample(rng, int(n - obs.sum()))
     return r, sc.mu_truth(x) + eps, x
+
+
+def check_sample_size(n: int) -> None:
+    """Raise UsageError unless the sample size n is at least 1."""
+    if n < 1:
+        raise UsageError("n must be >= 1")
 
 
 def generate_dataset(sc: Scenario, n: int, seed) -> Dataset:
@@ -348,9 +347,10 @@ def _replicate(fn, args, sc, n, reps, seed, tau0, threads):
     replication, with tau0 from ``compute_truth`` over TRUTH_DRAWS draws
     when it is None.  Returns tau0 and the results; a replication returns
     the code of an MnarError, so any other error, a UsageError among them,
-    ends the study."""
+    ends the study.  The sizes n and reps are checked before the truth."""
     if reps < 1:
         raise UsageError("reps must be >= 1")
+    check_sample_size(n)
     if tau0 is None:
         tau0 = compute_truth(sc, TRUTH_DRAWS, seed=np.random.SeedSequence((int(seed), 1)))["tau0"]
     children = np.random.SeedSequence(int(seed)).spawn(reps)
@@ -444,6 +444,8 @@ def run_coverage_study(
     if ci_method not in ("wald", "bootstrap_t"):
         raise UsageError(f"unknown CI method {ci_method!r}")
     check_variant(variant)
+    if ci_method == "bootstrap_t":
+        check_resamples(boot_b)
     tau0, results = _replicate(
         _coverage_rep, (ci_method, level, boot_b, variant), sc, n, reps, seed, tau0, threads
     )

@@ -108,6 +108,18 @@ def test_fit_missing_file_exits_2(cli_files, capsys):
     assert err["error"] == "IO"
 
 
+def test_fit_checks_the_level_before_reading_the_data(cli_files, capsys, monkeypatch):
+    _, data, cfg = cli_files
+
+    def no_parse(*args, **kwargs):
+        raise AssertionError("the data were read before the level was checked")
+
+    monkeypatch.setattr(cli, "parse_dataset", no_parse)
+    rc = main(["fit", "--data", data, "--model-config", cfg, "--level", "1.5"])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "USAGE"
+
+
 def _csv_rows(path):
     return [line.split(",") for line in open(path, encoding="utf-8").read().splitlines()]
 
@@ -251,10 +263,13 @@ def test_simulate_empty_method_list_usage_error(tmp_path, capsys):
     pytest.param(["--methods", ","], id="empty"),
     pytest.param(["--methods", "propsed"], id="misspelt"),
     pytest.param(["--coverage", "wald", "--level", "1.5"], id="level"),
+    pytest.param(["--n", "0"], id="n"),
+    pytest.param(["--coverage", "bootstrap_t", "--bootstrap", "50"], id="bootstrap"),
 ])
 def test_simulate_checks_its_arguments_before_the_truth(monkeypatch, capsys, extra):
     """The truth's 2 000 000 default draws took 0.2 s before a wrong method
-    list was reported, and a wrong level failed only after the study."""
+    list was reported, and a wrong level failed only after the study; n and
+    B were checked inside the first replication."""
     def no_truth(*args, **kwargs):
         raise AssertionError("compute_truth ran before the arguments were checked")
 

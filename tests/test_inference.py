@@ -4,7 +4,8 @@ import pytest
 from mnarmean._workspace import Workspace
 from mnarmean.data import BasisTerm, Dataset, ModelConfig, build_design
 from mnarmean.errors import UsageError
-from mnarmean.fitting import fit_mean_response, fit_tau_only
+from mnarmean.bootstrap import bootstrap_t_ci
+from mnarmean.fitting import fit_mean_response, fit_tau_only, fit_with_variance
 from mnarmean.inference import _score_rows, build_sandwich, estimate_sigma_tau, wald_ci
 from mnarmean.propensity import _z_matrix, score_and_hessian_z
 
@@ -167,6 +168,30 @@ def test_wald_ci_width_and_validation():
         wald_ci(1.0, -1.0, 100)
     with pytest.raises(UsageError):
         wald_ci(1.0, float("nan"), 100)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda ds, cfg: fit_mean_response(ds, cfg, level=1.5), "confidence level",
+                 id="fit_mean_response-level"),
+    pytest.param(lambda ds, cfg: fit_mean_response(ds, cfg, variant="bogus"),
+                 "unknown H1 variant", id="fit_mean_response-variant"),
+    pytest.param(lambda ds, cfg: fit_with_variance(ds, cfg, variant="bogus"),
+                 "unknown H1 variant", id="fit_with_variance-variant"),
+    pytest.param(lambda ds, cfg: bootstrap_t_ci(ds, cfg, B=99, variant="bogus"),
+                 "unknown H1 variant", id="bootstrap_t_ci-variant"),
+])
+def test_fits_check_their_arguments_before_the_design(fitted, monkeypatch, call, message):
+    """At n = 100 000 a wrong level or variant used to be reported only after
+    33-49 ms of fitting."""
+    from mnarmean import fitting
+
+    def no_design(*args):
+        raise AssertionError("the fit started before its arguments were checked")
+
+    monkeypatch.setattr(fitting, "build_design", no_design)
+    _, ds, cfg, _ = fitted
+    with pytest.raises(UsageError, match=message):
+        call(ds, cfg)
 
 
 def test_overflowing_tilt_is_overflow_error(fitted):

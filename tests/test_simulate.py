@@ -197,6 +197,29 @@ def test_run_study_rejects_an_empty_method_list_before_any_truth(monkeypatch):
         run_study(example1(alpha0=-1.7, delta=0.0), 2000, 50, [])
 
 
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: run_study(example1(), 0, 3, ["proposed"]), "n must be >= 1",
+                 id="run_study-n"),
+    pytest.param(lambda: run_coverage_study(example1(), 0, 3), "n must be >= 1",
+                 id="run_coverage_study-n"),
+    pytest.param(lambda: run_coverage_study(example1(), 100, 3, ci_method="bootstrap_t",
+                                            boot_b=50), "B must be >= 99",
+                 id="run_coverage_study-boot_b"),
+])
+def test_studies_check_their_sizes_before_any_truth(monkeypatch, call, message):
+    """n and B used to be checked inside the first replication, after the
+    truth."""
+    import mnarmean.simulate as sim
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("truth or a replication ran")
+
+    monkeypatch.setattr(sim, "compute_truth", no_work)
+    monkeypatch.setattr(sim, "_parallel_map", no_work)
+    with pytest.raises(UsageError, match=message):
+        call()
+
+
 def test_usage_error_is_not_an_mnar_error():
     """A wrong argument is never counted as a failed fit."""
     assert not issubclass(UsageError, MnarError)
